@@ -289,9 +289,11 @@ def _cmd_hn(args):
 def _cmd_stratify(args):
     problem = _load_problem(args)
     field = field_table(args.q)
+    # worker processes exist only on the point-by-point route
+    workers = args.threads if args.engine == "direct" else 1
     table = classify_representations(
         problem.quiver, problem.dims, problem.theta, field,
-        engine=args.engine, workers=args.threads,
+        engine=args.engine, workers=workers,
         max_reps=problem.max_reps, max_tuples=problem.max_tuples)
     lines = [f"stratum table (q={args.q}):"]
     lines += ["  " + line for line in table.serialize_lines()]
@@ -356,6 +358,7 @@ def _cmd_verify(args):
             if piece not in ss_polys:
                 ss_polys[piece] = semistable_count_poly(quiver, piece, theta)
     witness = coprime_witness(dims, theta)
+    moduli = moduli_count_poly(quiver, dims, theta) if witness is None else None
     for q in qs:
         field = field_table(q)
         table = classify_representations(
@@ -384,9 +387,8 @@ def _cmd_verify(args):
         report("stratum formulas", q, f"{len(types)} types")
         if witness is None:
             orbits = torsor_orbit_count(quiver, dims, theta, field,
-                                        max_reps=problem.max_reps,
-                                        max_tuples=problem.max_tuples)
-            value = moduli_count_poly(quiver, dims, theta)(q)
+                                        table=table)
+            value = moduli(q)
             if value != orbits:
                 raise TheoremViolation(
                     f"moduli polynomial at q={q}: {value} != {orbits} orbits")

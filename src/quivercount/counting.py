@@ -194,14 +194,15 @@ def moduli_count_poly(quiver, dims, theta):
 
 
 def torsor_orbit_count(quiver, dims, theta, field, max_reps=None,
-                       max_tuples=None):
+                       max_tuples=None, table=None):
     """Number of stable points over F_q divided by the order of the
     acting group modulo its central torus, with the divisibility
     verified on the way.
 
     Requires a coprime dimension vector, so the stable and semistable
     loci agree and the stable count is the open stratum of the
-    exhaustive classification.
+    exhaustive classification.  ``table`` is that classification when
+    the caller already has it; otherwise it is computed here.
     """
     dims = tuple(dims)
     witness = coprime_witness(dims, theta)
@@ -209,8 +210,13 @@ def torsor_orbit_count(quiver, dims, theta, field, max_reps=None,
         raise CoprimalityError(
             f"dimension vector {dims} is not coprime for theta "
             f"{tuple(theta)}: {witness} has the same slope")
-    table = classify_representations(quiver, dims, theta, field,
-                                     max_reps=max_reps, max_tuples=max_tuples)
+    if table is None:
+        table = classify_representations(quiver, dims, theta, field,
+                                         max_reps=max_reps,
+                                         max_tuples=max_tuples)
+    elif (table.quiver, table.dims, table.theta, table.q) != (
+            quiver, dims, tuple(theta), field.q):
+        raise ValueError("the stratum table belongs to another problem")
     stable = table.trivial_count()
     pg = pg_order(dims, field.q)
     if stable % pg:

@@ -7,9 +7,10 @@ stratifying is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from .polynomial import CountPolynomial, Q
+from .polynomial import CountPolynomial
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,21 @@ def slope(theta, dims):
     return Fraction(theta_of(theta, dims), dim)
 
 
+@lru_cache(maxsize=1024)
+def slope_ranks(theta, dims):
+    """Rank of the slope of every nonzero subvector of dims, dims itself
+    included, as a dict to be read and not changed.
+
+    Equal slopes share a rank and a larger slope has a larger rank, so
+    ranks compare exactly as the Fractions do.  ``theta`` and ``dims``
+    are tuples.
+    """
+    subs = list(nonzero_subvectors(dims))
+    mus = [slope(theta, e) for e in subs]
+    rank = {mu: r for r, mu in enumerate(sorted(set(mus)))}
+    return {e: rank[mu] for e, mu in zip(subs, mus)}
+
+
 def character_exponents(theta, dims):
     """Exponent vector (m_i) of the determinant character attached to theta.
 
@@ -130,7 +146,3 @@ def pg_order(dims, q):
         order *= gl_order(d, q)
     assert order % (q - 1) == 0
     return order // (q - 1)
-
-
-# re-exported for callers assembling polynomials by hand
-q_poly = Q

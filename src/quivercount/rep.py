@@ -17,10 +17,31 @@ Conventions fixed here and relied on everywhere else:
 * Quotient coordinates are the non-pivot columns of the subspace
   basis, in increasing column order.  This makes quotients and
   associated graded pieces deterministic.
+* A vector v of GF(q)^n is also named by its code sum_k v[k] * q^k
+  (linalg.encode_vector): code 0 is the zero vector, the unit vector
+  e_c has code q^c, and digit k of the code is v[k].
+* subspace_catalog(field, n) lists every subspace of GF(q)^n once, by
+  dimension and then in enumerate_subspaces order; the ordinal of a
+  subspace is its position there.  Each record carries the RREF rows,
+  the codes of the rows and the set of codes of all members.
+* The action table of an arrow s -> t of a representation is a tuple
+  of q^{d_s} codes: entry c is the code of A v for the vector v with
+  code c.  Representation.actions builds one per arrow on first use
+  and keeps it as long as the representation.  A subspace tuple is
+  closed under the arrow iff the table maps the codes of the source
+  rows into the members of the target record.
+* Values derived from catalog data (subrepresentations, restrictions,
+  quotients, pullbacks, the points of a space) are built by trusted
+  internal constructors that skip validation; the public constructors
+  validate fully.  Dimension vectors of subspace tuples are computed
+  at most once, and tuples from enumerate_subreps carry their catalog
+  records (catalog_records).
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import attrgetter
 
 from .errors import BudgetExceeded
 from .linalg import (decode_matrix, encode_matrix, encode_vector, mat_vec,
@@ -30,13 +51,21 @@ from .quiver import check_vector, rep_space_dim
 DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
 
+# readers of catalog records, for building subspace tuples from them
+_ROWS = attrgetter("rows")
+_DIM = attrgetter("k")
+
 
 class RepSpace:
     """The affine space of matrix tuples for (quiver, dims) over GF(q)."""
 
     def __init__(self, quiver, dims, field):
+        self._setup(quiver, check_vector(quiver, dims, "dimension vector"),
+                    field)
+
+    def _setup(self, quiver, dims, field):
         self.quiver = quiver
-        self.dims = check_vector(quiver, dims, "dimension vector")
+        self.dims = dims
         self.field = field
         self.arrow_shapes = tuple(
             (self.dims[t], self.dims[s]) for (s, t) in quiver.arrows)
@@ -56,10 +85,11 @@ class RepSpace:
             raise ValueError(f"index {index} out of range")
         q = self.field.q
         mats = []
+        rest = index
         for (rows, cols), size in zip(self.arrow_shapes, self.arrow_sizes):
-            index, digit = divmod(index, q**size)
+            rest, digit = divmod(rest, q**size)
             mats.append(decode_matrix(digit, rows, cols, q))
-        return Representation(self, tuple(mats))
+        return Representation._trusted(self, tuple(mats), index)
 
     def index_of(self, mats):
         q = self.field.q
@@ -67,6 +97,25 @@ class RepSpace:
 
     def zero_rep(self):
         return self.rep(0)
+
+    @cached_property
+    def _subrep_plan(self):
+        """Catalog per vertex, candidate tuple count, and the arrows that
+        enumerate_subreps checks at each vertex: (source, arrow) pairs
+        into it from earlier vertices, (target, arrow) pairs out of it
+        into earlier vertices or itself."""
+        catalogs = tuple(subspace_catalog(self.field, n) for n in self.dims)
+        candidates = 1
+        for cat in catalogs:
+            candidates *= len(cat)
+        into = [[] for _ in self.dims]
+        back = [[] for _ in self.dims]
+        for k, (s, t) in enumerate(self.quiver.arrows):
+            if s < t:
+                into[t].append((s, k))
+            else:
+                back[s].append((t, k))
+        return catalogs, candidates, into, back
 
     def __eq__(self, other):
         return (isinstance(other, RepSpace) and self.quiver == other.quiver
@@ -77,6 +126,39 @@ class RepSpace:
 
     def __repr__(self):
         return f"RepSpace({self.quiver!r}, dims={self.dims}, q={self.field.q})"
+
+
+@lru_cache(maxsize=256)
+def _space(quiver, dims, field):
+    """The space of a derived dimension vector, unvalidated and shared."""
+    space = object.__new__(RepSpace)
+    space._setup(quiver, dims, field)
+    return space
+
+
+def _action_table(field, mat, n_src):
+    """The code of mat * v for every v in GF(q)^{n_src}, by code of v.
+
+    Row by row, the value on the vectors below q^(j+1) is built from
+    the value below q^j: code a*q^j + r adds mat[i][j]*a to the entry
+    at r.
+    """
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    codes = [0] * q**n_src
+    weight = 1
+    for row in mat:
+        values = [0]
+        for m in row:
+            scaled = mul[m]
+            base = values
+            values = list(base)
+            for a in range(1, q):
+                shift = add[scaled[a]]
+                values += [shift[x] for x in base]
+        codes = [c + weight * v for c, v in zip(codes, values)]
+        weight *= q
+    return tuple(codes)
 
 
 @dataclass(frozen=True)
@@ -100,13 +182,31 @@ class Representation:
             norm.append(mat)
         object.__setattr__(self, "mats", tuple(norm))
 
-    @property
+    @classmethod
+    def _trusted(cls, space, mats, index=None):
+        M = object.__new__(cls)
+        attrs = M.__dict__
+        attrs["space"] = space
+        attrs["mats"] = mats
+        if index is not None:
+            attrs["index"] = index
+        return M
+
+    @cached_property
     def index(self):
         return self.space.index_of(self.mats)
 
     @property
     def dims(self):
         return self.space.dims
+
+    @cached_property
+    def actions(self):
+        """One action table per arrow (see the module docstring)."""
+        field = self.space.field
+        return tuple(
+            _action_table(field, mat, cols)
+            for (_, cols), mat in zip(self.space.arrow_shapes, self.mats))
 
 
 @dataclass(frozen=True)
@@ -126,11 +226,28 @@ class SubspaceTuple:
         for basis, n in zip(self.bases, self.ambient):
             _check_rref(basis, n)
 
-    @property
+    @classmethod
+    def _trusted(cls, ambient, bases):
+        S = object.__new__(cls)
+        attrs = S.__dict__
+        attrs["ambient"] = ambient
+        attrs["bases"] = bases
+        return S
+
+    @classmethod
+    def _from_records(cls, ambient, field, records):
+        S = cls._trusted(ambient, tuple(map(_ROWS, records)))
+        attrs = S.__dict__
+        attrs["dims"] = dims = tuple(map(_DIM, records))
+        attrs["total_dim"] = sum(dims)
+        attrs["_records"] = (field, records)
+        return S
+
+    @cached_property
     def dims(self):
         return tuple(len(basis) for basis in self.bases)
 
-    @property
+    @cached_property
     def total_dim(self):
         return sum(self.dims)
 
@@ -142,11 +259,13 @@ class SubspaceTuple:
 
     @classmethod
     def zero(cls, ambient):
-        return cls(tuple(ambient), tuple(() for _ in ambient))
+        ambient = tuple(int(n) for n in ambient)
+        return cls._trusted(ambient, tuple(() for _ in ambient))
 
     @classmethod
     def full(cls, ambient):
-        return cls(tuple(ambient), tuple(_identity_basis(n) for n in ambient))
+        ambient = tuple(int(n) for n in ambient)
+        return cls._trusted(ambient, tuple(_identity_basis(n) for n in ambient))
 
 
 def _identity_basis(n):
@@ -174,12 +293,6 @@ def _check_rref(basis, n):
 def pivots_of(basis):
     """Pivot columns of an RREF basis (first nonzero entry of each row)."""
     return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-
-
-def free_columns(basis, n):
-    """Non-pivot columns, increasing: the quotient coordinate positions."""
-    piv = set(pivots_of(basis))
-    return tuple(c for c in range(n) if c not in piv)
 
 
 @dataclass(frozen=True)
@@ -262,15 +375,16 @@ def enumerate_subspaces(n, k, field):
 class SubspaceInfo:
     """Catalog record: an RREF basis plus derived data for fast scans."""
 
-    __slots__ = ("rows", "pivots", "free_cols", "k", "members")
+    __slots__ = ("rows", "codes", "pivots", "free_cols", "k", "members")
 
     def __init__(self, field, rows, n):
+        q = field.q
         self.rows = rows
+        self.codes = tuple(encode_vector(row, q) for row in rows)
         self.k = len(rows)
         self.pivots = pivots_of(rows)
         piv = set(self.pivots)
         self.free_cols = tuple(c for c in range(n) if c not in piv)
-        q = field.q
         add, mul = field.add_table, field.mul_table
         members = set()
         for coeffs in product(range(q), repeat=self.k):
@@ -286,20 +400,43 @@ class SubspaceInfo:
 _CATALOGS = {}
 
 
+def _catalog(field, n):
+    key = (field, n)
+    entry = _CATALOGS.get(key)
+    if entry is None:
+        records = tuple(SubspaceInfo(field, rows, n)
+                        for k in range(n + 1)
+                        for rows in enumerate_subspaces(n, k, field))
+        entry = _CATALOGS[key] = (records, {r.rows: r for r in records})
+    return entry
+
+
 def subspace_catalog(field, n):
     """All subspaces of GF(q)^n as SubspaceInfo records, cached.
 
     Ordered by dimension, then by generation order of
     enumerate_subspaces; the order is deterministic.
     """
-    key = (field, n)
-    if key not in _CATALOGS:
-        records = []
-        for k in range(n + 1):
-            for rows in enumerate_subspaces(n, k, field):
-                records.append(SubspaceInfo(field, rows, n))
-        _CATALOGS[key] = tuple(records)
-    return _CATALOGS[key]
+    return _catalog(field, n)[0]
+
+
+def catalog_records(field, S):
+    """The catalog record of each subspace of S over the given field.
+
+    Tuples made by enumerate_subreps carry their records; any other
+    tuple is looked up by its bases once and then carries them too.
+    """
+    known = S.__dict__.get("_records")
+    if known is not None and known[0] is field:
+        return known[1]
+    try:
+        records = tuple(_catalog(field, n)[1][basis]
+                        for n, basis in zip(S.ambient, S.bases))
+    except KeyError:
+        raise ValueError(
+            f"subspace basis has entries outside GF({field.q})") from None
+    S.__dict__["_records"] = (field, records)
+    return records
 
 
 def is_subrep(M, S):
@@ -317,39 +454,67 @@ def is_subrep(M, S):
 
 
 def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
-    """Yield exactly the subspace tuples closed under all arrow maps,
-    including the zero and full tuples, in deterministic order."""
+    """An iterator over exactly the subspace tuples closed under all
+    arrow maps, including the zero and full tuples, in catalog product
+    order (the last vertex varies fastest).  The budget is checked on
+    the call.
+
+    Vertices are fixed one at a time.  Each arrow is checked as soon as
+    both of its ends are fixed, by looking up the action-table images
+    of the source rows among the target record's members, so a failing
+    prefix is never extended.
+    """
     space = M.space
     field = space.field
-    catalogs = [subspace_catalog(field, n) for n in space.dims]
-    budget = 1
-    for cat in catalogs:
-        budget *= len(cat)
-    if budget > max_tuples:
+    dims = space.dims
+    catalogs, candidates, into, back = space._subrep_plan
+    if candidates > max_tuples:
         raise BudgetExceeded(
-            f"{budget} candidate subspace tuples exceed the budget {max_tuples}")
-    arrows = space.quiver.arrows
-    q = field.q
-    for recs in product(*catalogs):
-        ok = True
-        for (s, t), mat in zip(arrows, M.mats):
-            target_members = recs[t].members
-            for row in recs[s].rows:
-                if encode_vector(mat_vec(field, mat, row), q) not in target_members:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield SubspaceTuple(space.dims, tuple(r.rows for r in recs))
+            f"{candidates} candidate subspace tuples exceed the budget "
+            f"{max_tuples}")
+    acts = M.actions
+    chosen = [None] * len(dims)
+    last = len(dims) - 1
+
+    def extend(i):
+        need = set()
+        for s, k in into[i]:
+            act = acts[k]
+            need.update([act[c] for c in chosen[s].codes])
+        checks = back[i]
+        for rec in catalogs[i]:
+            if not need <= rec.members:
+                continue
+            if checks and not all(
+                    acts[k][c] in (rec if t == i else chosen[t]).members
+                    for t, k in checks for c in rec.codes):
+                continue
+            chosen[i] = rec
+            if i == last:
+                yield SubspaceTuple._from_records(dims, field, tuple(chosen))
+            else:
+                yield from extend(i + 1)
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------
 # quotients, restrictions, graded pieces
 
 
-def _unit_vector(n, c):
-    return tuple(1 if j == c else 0 for j in range(n))
+def _closed_records(M, S):
+    """The catalog records of S, once the action tables show that every
+    arrow maps S into itself; ValueError otherwise."""
+    space = M.space
+    if S.ambient != space.dims:
+        raise ValueError("subspace tuple and representation differ in dimensions")
+    records = catalog_records(space.field, S)
+    for (s, t), act in zip(space.quiver.arrows, M.actions):
+        members = records[t].members
+        for c in records[s].codes:
+            if act[c] not in members:
+                raise ValueError("not a subrepresentation")
+    return records
 
 
 def quotient_rep(M, S):
@@ -359,23 +524,23 @@ def quotient_rep(M, S):
     columns of the subspace basis; the matrix entries are read off
     after reducing images modulo the subspace.
     """
-    if not is_subrep(M, S):
-        raise ValueError("not a subrepresentation")
+    records = _closed_records(M, S)
     space = M.space
     field = space.field
-    new_dims = tuple(d - k for d, k in zip(space.dims, S.dims))
-    free = [free_columns(basis, n) for basis, n in zip(S.bases, space.dims)]
-    pivots = [pivots_of(basis) for basis in S.bases]
+    new_dims = tuple(d - r.k for d, r in zip(space.dims, records))
     mats = []
     for (s, t), mat in zip(space.quiver.arrows, M.mats):
+        target = records[t]
         cols = []
-        for c in free[s]:
-            image = mat_vec(field, mat, _unit_vector(space.dims[s], c))
-            reduced = reduce_mod(field, S.bases[t], pivots[t], image)
-            cols.append([reduced[r] for r in free[t]])
+        for c in records[s].free_cols:
+            # column c of the matrix is the image of the unit vector e_c
+            reduced = reduce_mod(field, target.rows, target.pivots,
+                                 [row[c] for row in mat])
+            cols.append([reduced[r] for r in target.free_cols])
         mats.append(tuple(
             tuple(col[i] for col in cols) for i in range(new_dims[t])))
-    return Representation(RepSpace(space.quiver, new_dims, field), tuple(mats))
+    return Representation._trusted(_space(space.quiver, new_dims, field),
+                                   tuple(mats))
 
 
 def sub_rep(M, S):
@@ -384,21 +549,19 @@ def sub_rep(M, S):
     Coefficients are read off the pivot columns of the target basis,
     which is the unique expression of an element of an RREF row space.
     """
-    if not is_subrep(M, S):
-        raise ValueError("not a subrepresentation")
+    records = _closed_records(M, S)
     space = M.space
     field = space.field
-    pivots = [pivots_of(basis) for basis in S.bases]
+    q = field.q
     mats = []
-    for (s, t), mat in zip(space.quiver.arrows, M.mats):
-        cols = []
-        for row in S.bases[s]:
-            image = mat_vec(field, mat, row)
-            cols.append([image[p] for p in pivots[t]])
-        k_t = S.dims[t]
+    for (s, t), act in zip(space.quiver.arrows, M.actions):
+        # the pivot entries of an image are digits of its code
+        weights = [q**p for p in records[t].pivots]
+        cols = [[act[c] // w % q for w in weights] for c in records[s].codes]
         mats.append(tuple(
-            tuple(col[i] for col in cols) for i in range(k_t)))
-    return Representation(RepSpace(space.quiver, S.dims, field), tuple(mats))
+            tuple(col[i] for col in cols) for i in range(len(weights))))
+    return Representation._trusted(_space(space.quiver, S.dims, field),
+                                   tuple(mats))
 
 
 def _image_in_sub_coords(field, outer, inner):
@@ -409,17 +572,14 @@ def _image_in_sub_coords(field, outer, inner):
         coords = [tuple(row[p] for p in piv) for row in basis_in]
         reduced, _ = rref(field, coords)
         bases.append(reduced)
-    return SubspaceTuple(outer.dims, tuple(bases))
+    return SubspaceTuple._trusted(outer.dims, tuple(bases))
 
 
 def contains(field, outer, inner):
-    """Whether each subspace of ``inner`` lies in the one of ``outer``."""
-    for basis_in, basis_out in zip(inner.bases, outer.bases):
-        piv = pivots_of(basis_out)
-        for row in basis_in:
-            if any(reduce_mod(field, basis_out, piv, row)):
-                return False
-    return True
+    """Whether each subspace of ``inner`` lies in the one of ``outer``:
+    the member sets of their catalog records nest."""
+    return all(a.members <= b.members for a, b in zip(
+        catalog_records(field, inner), catalog_records(field, outer)))
 
 
 def associated_graded(M, filtration):
@@ -451,16 +611,19 @@ def pullback(field, S, quotient_rows):
     """Lift a subspace given in quotient coordinates of S back to the
     ambient space, returning the enlarged subspace tuple."""
     bases = []
-    for basis, n, rows in zip(S.bases, S.ambient, quotient_rows):
-        free = free_columns(basis, n)
+    for n, rec, rows in zip(S.ambient, catalog_records(field, S),
+                            quotient_rows):
+        if not rows:
+            bases.append(rec.rows)
+            continue
         lifted = []
         for row in rows:
             v = [0] * n
-            for c, x in zip(free, row):
+            for c, x in zip(rec.free_cols, row):
                 v[c] = x
             lifted.append(tuple(v))
-        combined, _ = rref(field, list(basis) + lifted)
+        combined, _ = rref(field, list(rec.rows) + lifted)
         # lifts are supported on free columns, so no rank can collapse
-        assert len(combined) == len(basis) + len(rows)
+        assert len(combined) == rec.k + len(rows)
         bases.append(combined)
-    return SubspaceTuple(S.ambient, tuple(bases))
+    return SubspaceTuple._trusted(S.ambient, tuple(bases))

@@ -11,7 +11,7 @@ route for a single representation.
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .quiver import slope
+from .quiver import slope_ranks
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
                   enumerate_subreps, pullback, quotient_rep)
 from .strata import HNType
@@ -38,33 +38,35 @@ class StabilityVerdict:
         return self.status != UNSTABLE
 
 
-def _ambient_slope(M, theta):
+def _slope_ranks(M, theta):
+    """The slope rank table of M's subvectors and the rank of M itself."""
     dims = M.space.dims
     if sum(dims) == 0:
         raise ValueError("stability is undefined for the zero dimension vector")
-    return slope(theta, dims)
+    ranks = slope_ranks(tuple(theta), dims)
+    return ranks, ranks[dims]
 
 
 def is_semistable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """King's test: M is semistable iff no nonzero subrepresentation has
     slope exceeding the slope of M."""
-    mu = _ambient_slope(M, theta)
+    ranks, mu = _slope_ranks(M, theta)
     for S in enumerate_subreps(M, max_tuples=max_tuples):
         if S.total_dim == 0:
             continue
-        if slope(theta, S.dims) > mu:
+        if ranks[S.dims] > mu:
             return StabilityVerdict(UNSTABLE, S)
     return StabilityVerdict(SEMISTABLE)
 
 
 def is_stable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """Three-way verdict: stable, strictly semistable, or unstable."""
-    mu = _ambient_slope(M, theta)
+    ranks, mu = _slope_ranks(M, theta)
     equal_witness = None
     for S in enumerate_subreps(M, max_tuples=max_tuples):
         if S.total_dim == 0 or S.is_full():
             continue
-        mu_s = slope(theta, S.dims)
+        mu_s = ranks[S.dims]
         if mu_s > mu:
             return StabilityVerdict(UNSTABLE, S)
         if mu_s == mu and equal_witness is None:
@@ -84,7 +86,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     slope; a violation means the theory's uniqueness statement failed
     and is reported loudly.
     """
-    mu = _ambient_slope(M, theta)
+    ranks, mu = _slope_ranks(M, theta)
     field = M.space.field
     best_key = None
     maximizers = []
@@ -92,7 +94,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     for S in enumerate_subreps(M, max_tuples=max_tuples):
         if S.total_dim == 0:
             continue
-        key = (slope(theta, S.dims), S.total_dim)
+        key = (ranks[S.dims], S.total_dim)
         if best_key is None or key[0] > best_key[0]:
             best_key = key
             maximizers = [S]

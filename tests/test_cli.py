@@ -167,6 +167,18 @@ def test_stratify_json(k2_file, capsys):
     assert {"type": [[1, 1]], "count": 3} in data["table"]
 
 
+def test_stratify_scan_engine_ignores_the_default_thread_count(
+        tmp_path, monkeypatch, capsys):
+    # --threads defaults to the CPU count but only drives the direct engine
+    problem = tmp_path / "k2_22.problem"
+    problem.write_text(K2_22_PROBLEM, encoding="utf-8")
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert main(["stratify", str(problem), "--q", "2", "--engine", "auto"]) == 0
+    auto = capsys.readouterr().out
+    assert main(["stratify", str(problem), "--q", "2", "--engine", "scan"]) == 0
+    assert capsys.readouterr().out == auto
+
+
 def test_hn_command(tmp_path, k2_file, capsys):
     rep = tmp_path / "rep.txt"
     rep.write_text("0\n0\n", encoding="utf-8")

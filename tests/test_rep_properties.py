@@ -1,0 +1,84 @@
+"""Property tests of the subrepresentation layer against the definitions.
+
+Random small quivers (loops, parallel arrows and 2-cycles all occur),
+dimension vectors of total dimension at most 4 and q in {2, 3, 4}.  The
+runs are derandomized and keep no example database, so they repeat
+exactly.
+"""
+
+import tempfile
+from itertools import product
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from quivercount import (Quiver, RepSpace, SubspaceTuple, enumerate_subreps,
+                         enumerate_subspaces, field_table, is_subrep,
+                         maximal_destabilizing, slope)
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=100)
+
+# Hypothesis caches the constants it reads from source files while tests
+# are collected; keep that cache out of the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+@st.composite
+def points(draw):
+    """A representation of a random small quiver and a character."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    arrows = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    dims = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                .filter(lambda d: 0 < sum(d) <= 4))
+    theta = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    q = draw(st.sampled_from((2, 3, 4)))
+    space = RepSpace(Quiver(n, tuple(arrows)), dims, field_table(q))
+    return space.rep(draw(st.integers(0, space.point_count - 1))), tuple(theta)
+
+
+def definitional_subreps(M):
+    """Every subspace tuple of M's space that is_subrep accepts."""
+    space = M.space
+    per_vertex = [
+        [basis for k in range(n + 1)
+         for basis in enumerate_subspaces(n, k, space.field)]
+        for n in space.dims]
+    return {S for S in (SubspaceTuple(space.dims, bases)
+                        for bases in product(*per_vertex))
+            if is_subrep(M, S)}
+
+
+def _point(arrows, dims, q, index, theta):
+    n = len(dims)
+    space = RepSpace(Quiver(n, arrows), dims, field_table(q))
+    return space.rep(index % space.point_count), theta
+
+
+@DETERMINISTIC
+@given(points())
+@example(_point(((0, 0),), (2,), 3, 5, (0,)))                  # a loop
+@example(_point(((0, 1), (0, 1)), (1, 2), 4, 77, (1, 0)))      # parallel arrows
+@example(_point(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0)))     # a 2-cycle
+def test_enumeration_is_the_definitional_filter(point):
+    M, theta = point
+    found = list(enumerate_subreps(M))
+    assert len(found) == len(set(found))
+    subreps = definitional_subreps(M)
+    assert set(found) == subreps
+
+    # the maximal destabilizing subrepresentation, picked by definition
+    dims = M.space.dims
+    nonzero = [S for S in subreps if S.total_dim > 0]
+    top = max(slope(theta, S.dims) for S in nonzero)
+    if top <= slope(theta, dims):
+        expected = SubspaceTuple.full(dims)
+    else:
+        size = max(S.total_dim for S in nonzero
+                   if slope(theta, S.dims) == top)
+        (expected,) = [S for S in nonzero
+                       if (slope(theta, S.dims), S.total_dim) == (top, size)]
+    assert maximal_destabilizing(M, theta) == expected
