@@ -9,26 +9,35 @@ Two independent routes compute the stratum table:
   destabilizing subspace tuple it enumerates the representations that
   preserve it.  Preserving a fixed tuple is a linear condition, so the
   preserving set has a product parametrization (restriction block,
-  mixing block, quotient block) and the scan costs a table lookup per
-  preserved point instead of a subspace search per point.  This is
-  what makes million-point spaces affordable.
+  mixing block, quotient block).  Per arrow a block table lists the
+  preserving matrices with their restriction and quotient blocks;
+  scaled by the strides of the space, the subspace and the quotient,
+  the product of these lists is one stream of (index, restriction,
+  quotient) triples.  The scan handles each point the moment the
+  stream reaches it.  A group mark, one byte per point, is 0 while the
+  point is free and g once destabilizer group g has claimed it; a
+  second hit inside the claiming group breaks uniqueness.  On the first
+  hit the restriction must be semistable and the type is read off the
+  quotient's table, so a preserved point costs a few additions and
+  lookups instead of a subspace search.  This is what makes
+  million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
-suite.  The scan machinery is reused to count, for every point, all
+suite.  The same triple stream counts, for every point, all
 filtrations with semistable subquotients and strictly decreasing
 slopes (the uniqueness oracle for the filtration procedure).
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 from .errors import BudgetExceeded, TheoremViolation
 from .ffield import field_table
 from .linalg import decode_vector, encode_matrix, encode_vector, reduce_mod
 from .quiver import Quiver, nonzero_subvectors, slope, total_dim
-from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
+from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   subspace_catalog)
 from .strata import HNType, trivial_type
 
@@ -37,14 +46,13 @@ class BlockTable:
     """All matrices carrying a fixed source subspace into a fixed target
     subspace, tabulated with the restriction and quotient blocks.
 
-    ``a_indices`` lists the encoded matrices; ``blocks[a]`` gives the
-    encoded matrix of the restricted map (in the subspace bases) and of
-    the quotient map (in the free coordinates), matching the
-    conventions of sub_rep and quotient_rep exactly.  ``by_sub`` groups
-    entries by restriction block.
+    ``by_sub`` maps the encoded restricted map (in the subspace bases)
+    to the pairs (encoded matrix, encoded quotient map in the free
+    coordinates) with that restriction, matching the conventions of
+    sub_rep and quotient_rep exactly.
     """
 
-    __slots__ = ("a_indices", "blocks", "by_sub")
+    __slots__ = ("by_sub",)
 
     def __init__(self, field, n_src, n_tgt, src, tgt):
         q = field.q
@@ -77,14 +85,13 @@ class BlockTable:
              for z in range(q**ft)]
             for ci in range(fs)]
 
-        self.a_indices = []
-        self.blocks = {}
         self.by_sub = {}
         pivots_src = src.pivots
         rows_src = src.rows
         for u_cols in product(range(q**kt), repeat=ks):
             u_idx = sum(u_contrib[r][y] for r, y in enumerate(u_cols))
             base_imgs = [span[y] for y in u_cols]
+            pairs = self.by_sub[u_idx] = []
             for f_cols in product(range(q**n_tgt), repeat=fs):
                 cols = [None] * n_src
                 for ci, enc in enumerate(f_cols):
@@ -100,46 +107,9 @@ class BlockTable:
                     cols[p] = vec
                 mat = tuple(tuple(cols[j][i] for j in range(n_src))
                             for i in range(n_tgt))
-                a_idx = encode_matrix(mat, q)
                 w_idx = sum(w_contrib[ci][zs[enc]]
                             for ci, enc in enumerate(f_cols))
-                self.a_indices.append(a_idx)
-                self.blocks[a_idx] = (u_idx, w_idx)
-                self.by_sub.setdefault(u_idx, []).append((a_idx, w_idx))
-
-
-_BLOCK_CACHE = {}
-
-
-def _block_table(field, n_src, n_tgt, src_ord, tgt_ord):
-    key = (field, n_src, n_tgt, src_ord, tgt_ord)
-    if key not in _BLOCK_CACHE:
-        src = subspace_catalog(field, n_src)[src_ord]
-        tgt = subspace_catalog(field, n_tgt)[tgt_ord]
-        _BLOCK_CACHE[key] = BlockTable(field, n_src, n_tgt, src, tgt)
-    return _BLOCK_CACHE[key]
-
-
-def _iter_sums(lists):
-    """Sums over the cartesian product of pre-scaled index lists.
-
-    An empty family has one element, the empty sum (this is the
-    arrowless quiver, whose space is a single point).
-    """
-    if not lists:
-        yield 0
-    elif len(lists) == 1:
-        yield from lists[0]
-    elif len(lists) == 2:
-        first, second = lists
-        for a in first:
-            for b in second:
-                yield a + b
-    else:
-        head = lists[0]
-        for rest in _iter_sums(lists[1:]):
-            for a in head:
-                yield a + rest
+                pairs.append((encode_matrix(mat, q), w_idx))
 
 
 class SpaceTable:
@@ -160,10 +130,11 @@ class ScanClassifier:
 
     Candidate destabilizing tuples are visited in decreasing
     (slope, total dimension) order; the first group that preserves a
-    point names its maximal destabilizing subrepresentation, the
-    quotient is read off block tables and looked up in the table of the
-    smaller space.  Uniqueness of the maximizer and semistability of
-    the extracted piece are asserted on every point.
+    point names its maximal destabilizing subrepresentation, and the
+    quotient is looked up in the table of the smaller space.  Uniqueness
+    of the maximizer and semistability of the extracted piece are
+    asserted on every point.  Block tables are cached on the classifier,
+    so they live as long as the problem that built them.
     """
 
     def __init__(self, quiver, theta, field, max_reps=DEFAULT_MAX_REPS,
@@ -174,6 +145,60 @@ class ScanClassifier:
         self.max_reps = max_reps
         self.max_tuples = max_tuples
         self.tables = {}
+        self.block_tables = {}
+
+    def triples(self, dims, e, ords):
+        """Per arrow, the (index, restriction, quotient) triples of the
+        matrices preserving the subspace tuple with catalog ordinals
+        ``ords`` (of dimension vector ``e``), each scaled by the arrow's
+        stride in the space of dims, of e and of dims - e."""
+        quiver, field = self.quiver, self.field
+        quot_dims = tuple(d - x for d, x in zip(dims, e))
+        strides = zip(*(RepSpace(quiver, v, field).arrow_strides
+                        for v in (dims, e, quot_dims)))
+        lists = []
+        for (s, t), (ps, ss, qs) in zip(quiver.arrows, strides):
+            key = (dims[s], dims[t], ords[s], ords[t])
+            table = self.block_tables.get(key)
+            if table is None:
+                table = self.block_tables[key] = BlockTable(
+                    field, dims[s], dims[t],
+                    subspace_catalog(field, dims[s])[ords[s]],
+                    subspace_catalog(field, dims[t])[ords[t]])
+            lists.append([(a * ps, u * ss, w * qs)
+                          for u, pairs in table.by_sub.items()
+                          for a, w in pairs])
+        return lists
+
+    def preserved(self, dims, e):
+        """The (index, restriction, quotient) triple of every point of the
+        space of dims, once for each subspace tuple of dimension vector
+        e that the point preserves.
+
+        The product over the arrows is not recursive: itertools.product
+        runs over all but the two innermost lists, which are nested
+        loops.  An arrowless quiver has one point, the empty sum.
+        """
+        per_vertex = []
+        for n, k in zip(dims, e):
+            catalog = subspace_catalog(self.field, n)
+            per_vertex.append(range(bisect_left(catalog, k, key=_DIM),
+                                    bisect_right(catalog, k, key=_DIM)))
+        pad = [[(0, 0, 0)]] * (2 - len(self.quiver.arrows))
+        for ords in product(*per_vertex):
+            *outer, inner, last = pad + self.triples(dims, e, ords)
+            for combo in product(*outer):
+                i0 = u0 = w0 = 0
+                for i, u, w in combo:
+                    i0 += i
+                    u0 += u
+                    w0 += w
+                for i1, u1, w1 in inner:
+                    i1 += i0
+                    u1 += u0
+                    w1 += w0
+                    for i2, u2, w2 in last:
+                        yield i1 + i2, u1 + u2, w1 + w2
 
     def table(self, dims):
         dims = tuple(dims)
@@ -182,16 +207,13 @@ class ScanClassifier:
         if total_dim(dims) == 0:
             raise ValueError("cannot classify the zero dimension vector")
         quiver, theta, field = self.quiver, self.theta, self.field
-        q = field.q
-        space = RepSpace(quiver, dims, field)
-        N = space.point_count
+        N = RepSpace(quiver, dims, field).point_count
         if N > self.max_reps:
             raise BudgetExceeded(
                 f"{N} representations exceed the budget {self.max_reps}")
-        catalogs = [subspace_catalog(field, n) for n in dims]
         candidates = 1
-        for cat in catalogs:
-            candidates *= len(cat)
+        for n in dims:
+            candidates *= len(subspace_catalog(field, n))
         if candidates > self.max_tuples:
             raise BudgetExceeded(
                 f"{candidates} candidate subspace tuples exceed the budget "
@@ -209,79 +231,46 @@ class ScanClassifier:
 
         trivial = trivial_type(theta, dims)
         types = [trivial]
+        counts = [0]
         type_index = {trivial.pieces: 0}
         type_ids = array("h", bytes(2 * N))
-        assigned = bytearray(N)
-        gen = bytearray(N)
-        winner = array("i", bytes(4 * N))
-        arrows = quiver.arrows
-        pstride = space.arrow_strides
-        ppow = tuple(q**size for size in space.arrow_sizes)
-
-        by_dim = [
-            {k: [(o, rec) for o, rec in enumerate(cat) if rec.k == k]
-             for k in range(n + 1)}
-            for cat, n in zip(catalogs, dims)]
-
+        mark = bytearray(N)
         for g, key in enumerate(group_keys, start=1):
-            tuples = []
-            touched = []
             for e in groups[key]:
                 quot_dims = tuple(d - x for d, x in zip(dims, e))
-                sub_strides = RepSpace(quiver, e, field).arrow_strides
-                quot_strides = RepSpace(quiver, quot_dims, field).arrow_strides
-                per_vertex = [by_dim[i][e[i]] for i in range(len(dims))]
-                for recs in product(*per_vertex):
-                    tables = tuple(
-                        _block_table(field, dims[s], dims[t],
-                                     recs[s][0], recs[t][0])
-                        for (s, t) in arrows)
-                    t_ord = len(tuples)
-                    tuples.append((e, quot_dims, tables, sub_strides,
-                                   quot_strides))
-                    scaled = [
-                        [a * st for a in tbl.a_indices]
-                        for tbl, st in zip(tables, pstride)]
-                    for idx in _iter_sums(scaled):
-                        if assigned[idx]:
-                            continue
-                        if gen[idx] != g:
-                            gen[idx] = g
-                            winner[idx] = t_ord
-                            touched.append(idx)
-                        elif winner[idx] != t_ord:
-                            raise TheoremViolation(
-                                "non-unique maximal destabilizing "
-                                f"subrepresentation at index {idx} of {dims}")
-            resolved = {}
-            for t_ord, (e, quot_dims, tables, sub_strides,
-                        quot_strides) in enumerate(tuples):
-                resolved[t_ord] = (e, tables, sub_strides, quot_strides,
-                                   self.table(e), self.table(quot_dims))
-            for idx in touched:
-                assigned[idx] = 1
-                e, tables, sub_strides, quot_strides, sub_table, quot_table = \
-                    resolved[winner[idx]]
-                u = w = 0
-                for k in range(len(arrows)):
-                    a = (idx // pstride[k]) % ppow[k]
-                    uk, wk = tables[k].blocks[a]
-                    u += uk * sub_strides[k]
-                    w += wk * quot_strides[k]
-                if sub_table.type_ids[u] != 0:
-                    raise TheoremViolation(
-                        "extracted maximal destabilizing piece is not "
-                        f"semistable at index {idx} of {dims}")
-                pieces = (e,) + quot_table.types[quot_table.type_ids[w]].pieces
-                tid = type_index.get(pieces)
-                if tid is None:
-                    tid = len(types)
-                    types.append(HNType(theta, pieces))
-                    type_index[pieces] = tid
-                type_ids[idx] = tid
+                sub_ids = self.table(e).type_ids
+                quot = self.table(quot_dims)
+                quot_ids = quot.type_ids
+                lift = [None] * len(quot.types)
+                for idx, u, w in self.preserved(dims, e):
+                    claimed = mark[idx]
+                    if claimed == g:
+                        raise TheoremViolation(
+                            "non-unique maximal destabilizing "
+                            f"subrepresentation at index {idx} of {dims}")
+                    if claimed:
+                        continue
+                    mark[idx] = g
+                    if sub_ids[u] != 0:
+                        raise TheoremViolation(
+                            "extracted maximal destabilizing piece is not "
+                            f"semistable at index {idx} of {dims}")
+                    qt = quot_ids[w]
+                    tid = lift[qt]
+                    if tid is None:
+                        pieces = (e,) + quot.types[qt].pieces
+                        tid = type_index.get(pieces)
+                        if tid is None:
+                            tid = type_index[pieces] = len(types)
+                            types.append(HNType(theta, pieces))
+                            counts.append(0)
+                        lift[qt] = tid
+                    type_ids[idx] = tid
+                    counts[tid] += 1
 
-        counts = {types[tid]: n for tid, n in Counter(type_ids).items()}
-        result = SpaceTable(dims, types, type_ids, counts)
+        counts[0] = N - sum(counts)
+        result = SpaceTable(dims, types, type_ids,
+                            {t: n for t, n in zip(types, counts) if n})
         self.tables[dims] = result
         return result
 
@@ -340,6 +329,8 @@ def classify_direct(quiver, dims, theta, field, workers=1,
         jobs = [(quiver.vertex_count, quiver.arrows, dims, theta, field.q,
                  lo, min(lo + chunk, N), max_tuples)
                 for lo in range(0, N, chunk)]
+        from concurrent.futures import ProcessPoolExecutor
+
         merged = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for items in pool.map(_direct_worker, jobs):
@@ -379,20 +370,11 @@ class FiltrationCounter:
             return self.memo[key]
         dims = tuple(dims)
         cls = self.classifier
-        quiver, theta, field = cls.quiver, cls.theta, cls.field
-        space = RepSpace(quiver, dims, field)
-        N = space.point_count
+        theta = cls.theta
         out = None
         if bound is None or slope(theta, dims) < bound:
             tids = cls.table(dims).type_ids
             out = [1 if t == 0 else 0 for t in tids]
-        arrows = quiver.arrows
-        pstride = space.arrow_strides
-        catalogs = [subspace_catalog(field, n) for n in dims]
-        by_dim = [
-            {k: [(o, rec) for o, rec in enumerate(cat) if rec.k == k]
-             for k in range(n + 1)}
-            for cat, n in zip(catalogs, dims)]
         for e in nonzero_subvectors(dims):
             if e == dims:
                 continue
@@ -404,42 +386,15 @@ class FiltrationCounter:
             if child is None:
                 continue
             ss_ids = cls.table(e).type_ids
-            sub_strides = RepSpace(quiver, e, field).arrow_strides
-            quot_strides = RepSpace(quiver, quot_dims, field).arrow_strides
             if out is None:
-                out = [0] * N
-            per_vertex = [by_dim[i][e[i]] for i in range(len(dims))]
-            for recs in product(*per_vertex):
-                tables = [
-                    _block_table(field, dims[s], dims[t], recs[s][0], recs[t][0])
-                    for (s, t) in arrows]
-                self._accumulate(out, child, ss_ids, tables,
-                                 pstride, sub_strides, quot_strides)
+                out = [0] * RepSpace(cls.quiver, dims, cls.field).point_count
+            for idx, u, w in cls.preserved(dims, e):
+                if ss_ids[u] == 0:
+                    out[idx] += child[w]
         if out is not None and not any(out):
             out = None
         self.memo[key] = out
         return out
-
-    def _accumulate(self, out, child, ss_ids, tables, pstride, sub_strides,
-                    quot_strides):
-        # iterate over restriction blocks first so non-semistable first
-        # pieces are skipped wholesale
-        grouped = [
-            {u: [(a * pst, w * qst) for (a, w) in lst]
-             for u, lst in tbl.by_sub.items()}
-            for tbl, pst, qst in zip(tables, pstride, quot_strides)]
-        for u_combo in product(*[list(g.items()) for g in grouped]):
-            u = sum(uk * st for (uk, _), st in zip(u_combo, sub_strides))
-            if ss_ids[u] != 0:
-                continue
-            lists = [entry for (_, entry) in u_combo]
-            for pairs in product(*lists):
-                idx = 0
-                w = 0
-                for a_scaled, w_scaled in pairs:
-                    idx += a_scaled
-                    w += w_scaled
-                out[idx] += child[w]
 
 
 def count_hn_filtrations(quiver, dims, theta, field, classifier=None,

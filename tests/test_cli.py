@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +179,26 @@ def test_stratify_scan_engine_ignores_the_default_thread_count(
     auto = capsys.readouterr().out
     assert main(["stratify", str(problem), "--q", "2", "--engine", "scan"]) == 0
     assert capsys.readouterr().out == auto
+
+
+def test_stratify_many_arrows_does_not_recurse_per_arrow(tmp_path, capsys):
+    # 1,200 loops at a vertex of dimension 0: one point, one product factor
+    # per arrow
+    path = tmp_path / "loops.problem"
+    path.write_text("vertices 3\n" + "arrow 2 2\n" * 1200
+                    + "dim 1 1 0\ntheta 1 0 0\n", encoding="utf-8")
+    assert main(["stratify", str(path), "--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "  1,0,0;0,1,0 1\n" in out
+    assert "partition: 1 == q^0 ok" in out
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool of the direct engine is imported only when used
+    code = "import sys, quivercount.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_hn_command(tmp_path, k2_file, capsys):

@@ -1,4 +1,5 @@
-"""Property tests of the subrepresentation layer against the definitions.
+"""Property tests of the subrepresentation layer and of the scan against
+the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4 and q in {2, 3, 4}.  The
@@ -9,13 +10,14 @@ exactly.
 import tempfile
 from itertools import product
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quivercount import (Quiver, RepSpace, SubspaceTuple, enumerate_subreps,
-                         enumerate_subspaces, field_table, is_subrep,
-                         maximal_destabilizing, slope)
+from quivercount import (Quiver, RepSpace, ScanClassifier, SubspaceTuple,
+                         count_hn_filtrations, enumerate_subreps,
+                         enumerate_subspaces, field_table, hn_filtration,
+                         is_subrep, maximal_destabilizing, slope)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -82,3 +84,43 @@ def test_enumeration_is_the_definitional_filter(point):
         (expected,) = [S for S in nonzero
                        if (slope(theta, S.dims), S.total_dim) == (top, size)]
     assert maximal_destabilizing(M, theta) == expected
+
+
+@st.composite
+def spaces(draw):
+    """A representation space of a random small quiver with at most 256
+    points (0 to 3 arrows, loops included) and a character."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=3)))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                      .filter(lambda d: 0 < sum(d) <= 4)))
+    theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    exponent = sum(dims[s] * dims[t] for s, t in arrows)
+    fields = [q for q in (2, 3, 4) if q**exponent <= 256]
+    assume(fields)
+    q = draw(st.sampled_from(fields))
+    return RepSpace(Quiver(n, arrows), dims, field_table(q)), theta
+
+
+def _space(arrows, dims, q, theta):
+    return RepSpace(Quiver(len(dims), arrows), dims, field_table(q)), theta
+
+
+@DETERMINISTIC
+@given(spaces())
+@example(_space((), (1, 2), 3, (1, 0)))                        # no arrow
+@example(_space(((0, 1), (0, 0), (1, 0)), (2, 1), 2, (1, 0)))  # three arrows
+@example(_space(((0, 1), (0, 0), (0, 0)), (1, 2), 3, (1, 0)))  # two loops
+def test_scan_types_match_the_procedure_at_every_point(case):
+    space, theta = case
+    quiver, dims, field = space.quiver, space.dims, space.field
+    classifier = ScanClassifier(quiver, theta, field)
+    table = classifier.table(dims)
+    for idx in range(space.point_count):
+        _, beta = hn_filtration(space.rep(idx), theta)
+        assert table.types[table.type_ids[idx]] == beta
+    assert sum(table.counts.values()) == space.point_count
+    counts = count_hn_filtrations(quiver, dims, theta, field,
+                                  classifier=classifier)
+    assert counts == [1] * space.point_count

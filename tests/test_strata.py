@@ -9,7 +9,7 @@ from quivercount import (HNPolygon, HNType, Quiver, RepSpace, classify_direct,
                          enumerate_hn_types, enumerate_reps, field_table,
                          hn_filtration, is_subrep, kronecker, polygon,
                          quotient_rep, sub_rep, trivial_type)
-from quivercount.exhaustive import ScanClassifier, _block_table
+from quivercount.exhaustive import ScanClassifier
 from quivercount.rep import subspace_catalog
 
 from conftest import a2_quiver
@@ -207,12 +207,14 @@ def test_scan_classifier_handles_sub_dimensions(f2):
 
 @pytest.mark.parametrize("q,dims", [(2, (2, 2)), (3, (2, 1)), (2, (2, 3))])
 def test_block_tables_match_rep_conventions(q, dims):
-    """Every block-table entry reconstructs a representation whose
-    restriction and quotient indices are the tabulated blocks, and the
-    table exhausts the representations preserving the tuple."""
+    """Every triple the classifier lists for a subspace tuple
+    reconstructs a representation whose restriction and quotient
+    indices are the listed ones, and the triples exhaust the
+    representations preserving the tuple."""
     field = field_table(q)
     quiver = kronecker(2)
     space = RepSpace(quiver, dims, field)
+    cls = ScanClassifier(quiver, THETA, field)
     rng = random.Random(q * 100 + sum(dims))
     catalogs = [subspace_catalog(field, n) for n in dims]
     picks = [(i, j) for i in range(len(catalogs[0]))
@@ -223,32 +225,20 @@ def test_block_tables_match_rep_conventions(q, dims):
         from quivercount import SubspaceTuple
 
         S = SubspaceTuple(dims, (recs[0].rows, recs[1].rows))
-        sub_dims = S.dims
-        quot_dims = tuple(d - k for d, k in zip(dims, sub_dims))
-        sub_space = RepSpace(quiver, sub_dims, field)
-        quot_space = RepSpace(quiver, quot_dims, field)
-        tables = [_block_table(field, dims[s], dims[t], (i, j)[s], (i, j)[t])
-                  for (s, t) in quiver.arrows]
+        lists = cls.triples(dims, S.dims, (i, j))
         size = 1
-        for tbl in tables:
-            size *= len(tbl.a_indices)
-        # completeness: the table size equals the direct count
+        for triples in lists:
+            size *= len(triples)
+        # completeness: the product size equals the direct count
         direct = sum(
             1 for M in enumerate_reps(quiver, dims, field) if is_subrep(M, S))
         assert direct == size
         # sample entries reconstruct consistently
         for _ in range(10):
-            choice = [rng.randrange(len(tbl.a_indices)) for tbl in tables]
-            idx = sum(tbl.a_indices[c] * st
-                      for tbl, c, st in zip(tables, choice, space.arrow_strides))
+            choice = [rng.choice(triples) for triples in lists]
+            idx, u, w = (sum(parts) for parts in zip(*choice))
             M = space.rep(idx)
             assert is_subrep(M, S)
-            u = w = 0
-            for tbl, c, sst, qst in zip(tables, choice, sub_space.arrow_strides,
-                                        quot_space.arrow_strides):
-                uk, wk = tbl.blocks[tbl.a_indices[c]]
-                u += uk * sst
-                w += wk * qst
             assert sub_rep(M, S).index == u
             assert quotient_rep(M, S).index == w
 
