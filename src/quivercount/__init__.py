@@ -5,8 +5,8 @@ strata, stratum counting polynomials and purity-signature fitting."""
 from .counting import (StratumFormula, coprime_witness, fiber_exponent,
                        flag_count_poly, is_coprime, moduli_count_poly,
                        parabolic_order_poly, poly_ops, rep_count_poly,
-                       semistable_count_poly, stratum_count_poly,
-                       stratum_formula, torsor_orbit_count)
+                       semistable_count_poly, semistable_count_polys,
+                       stratum_count_poly, stratum_formula, torsor_orbit_count)
 from .errors import (BudgetExceeded, CoprimalityError, ProblemParseError,
                      QuiverCountError, TheoremViolation)
 from .exhaustive import (ScanClassifier, classify_direct, classify_scan,

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .counting import (coprime_witness, moduli_count_poly, rep_count_poly,
-                       semistable_count_poly, stratum_count_poly,
+                       semistable_count_polys, stratum_count_poly,
                        torsor_orbit_count)
 from .errors import (ProblemParseError, QuiverCountError,
                      TheoremViolation)
@@ -299,9 +299,8 @@ def _cmd_stratify(args):
     lines += ["  " + line for line in table.serialize_lines()]
     formulas = []
     lines.append("stratum formulas:")
+    ss = semistable_count_polys(problem.quiver, problem.dims, problem.theta)
     for beta in enumerate_hn_types(problem.quiver, problem.dims, problem.theta):
-        ss = {piece: semistable_count_poly(problem.quiver, piece, problem.theta)
-              for piece in set(beta.pieces)}
         poly = stratum_count_poly(problem.quiver, beta, ss)
         value = poly(args.q)
         observed = table.counts.get(beta, 0)
@@ -337,11 +336,9 @@ DIRECT_CROSSCHECK_LIMIT = 4096
 
 def _cmd_verify(args):
     problem = _load_problem(args)
-    if args.qmax is not None:
-        qs = _prime_powers_upto(args.qmax)
-    elif problem.q_list:
-        qs = list(problem.q_list)
-    else:
+    qs = (_prime_powers_upto(args.qmax) if args.qmax is not None
+          else list(problem.q_list or ()))
+    if not qs:
         raise ProblemParseError("no fields to verify: pass --qmax or add a 'q' line")
     quiver, dims, theta = problem.quiver, problem.dims, problem.theta
     lines = []
@@ -352,11 +349,7 @@ def _cmd_verify(args):
         checks.append({"q": q, "check": name, "detail": detail})
 
     types = enumerate_hn_types(quiver, dims, theta)
-    ss_polys = {}
-    for beta in types:
-        for piece in beta.pieces:
-            if piece not in ss_polys:
-                ss_polys[piece] = semistable_count_poly(quiver, piece, theta)
+    ss_polys = semistable_count_polys(quiver, dims, theta)
     witness = coprime_witness(dims, theta)
     moduli = moduli_count_poly(quiver, dims, theta) if witness is None else None
     for q in qs:

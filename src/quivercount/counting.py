@@ -121,8 +121,9 @@ def stratum_count_poly(quiver, beta, ss_counts):
     return stratum_formula(quiver, beta, ss_counts).polynomial()
 
 
-def semistable_count_poly(quiver, dims, theta):
-    """Point count polynomial of the semistable locus.
+def semistable_count_polys(quiver, dims, theta):
+    """Point count polynomials of semistable loci, as a dict keyed by
+    dimension vector: dims and every piece of every type of dims.
 
     Recursion over total dimension: the whole space is the disjoint
     union of its strata, every nontrivial stratum is a closed form in
@@ -143,7 +144,13 @@ def semistable_count_poly(quiver, dims, theta):
             memo[d] = total
         return memo[d]
 
-    return ss(tuple(dims))
+    ss(tuple(dims))
+    return memo
+
+
+def semistable_count_poly(quiver, dims, theta):
+    """Point count polynomial of the semistable locus of dims."""
+    return semistable_count_polys(quiver, dims, theta)[tuple(dims)]
 
 
 def coprime_witness(dims, theta):
@@ -165,6 +172,14 @@ def is_coprime(dims, theta):
     return coprime_witness(dims, theta) is None
 
 
+def _require_coprime(dims, theta):
+    witness = coprime_witness(dims, theta)
+    if witness is not None:
+        raise CoprimalityError(
+            f"dimension vector {dims} is not coprime for theta "
+            f"{tuple(theta)}: {witness} has the same slope")
+
+
 def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
     representations.
@@ -176,11 +191,7 @@ def moduli_count_poly(quiver, dims, theta):
     violation, not a recoverable condition.
     """
     dims = tuple(dims)
-    witness = coprime_witness(dims, theta)
-    if witness is not None:
-        raise CoprimalityError(
-            f"dimension vector {dims} is not coprime for theta "
-            f"{tuple(theta)}: {witness} has the same slope")
+    _require_coprime(dims, theta)
     numerator = CountPolynomial((-1, 1)) * semistable_count_poly(quiver, dims, theta)
     try:
         poly = numerator.div_exact(group_order_poly(dims))
@@ -205,11 +216,7 @@ def torsor_orbit_count(quiver, dims, theta, field, max_reps=None,
     the caller already has it; otherwise it is computed here.
     """
     dims = tuple(dims)
-    witness = coprime_witness(dims, theta)
-    if witness is not None:
-        raise CoprimalityError(
-            f"dimension vector {dims} is not coprime for theta "
-            f"{tuple(theta)}: {witness} has the same slope")
+    _require_coprime(dims, theta)
     if table is None:
         table = classify_representations(quiver, dims, theta, field,
                                          max_reps=max_reps,

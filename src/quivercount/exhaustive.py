@@ -38,7 +38,7 @@ from .ffield import field_table
 from .linalg import decode_vector, encode_matrix, encode_vector, reduce_mod
 from .quiver import Quiver, nonzero_subvectors, slope, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  subspace_catalog)
+                  check_tuple_budget, subspace_catalog)
 from .strata import HNType, trivial_type
 
 
@@ -211,13 +211,7 @@ class ScanClassifier:
         if N > self.max_reps:
             raise BudgetExceeded(
                 f"{N} representations exceed the budget {self.max_reps}")
-        candidates = 1
-        for n in dims:
-            candidates *= len(subspace_catalog(field, n))
-        if candidates > self.max_tuples:
-            raise BudgetExceeded(
-                f"{candidates} candidate subspace tuples exceed the budget "
-                f"{self.max_tuples}")
+        check_tuple_budget(dims, field.q, self.max_tuples)
 
         mu = slope(theta, dims)
         groups = {}

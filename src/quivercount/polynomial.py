@@ -1,5 +1,6 @@
-"""Univariate polynomials in the formal variable q with exact rational
-coefficients.
+"""Univariate polynomials in the formal variable q with exact
+coefficients: an ``int`` where integral, a ``Fraction`` only where not
+(an interpolant fitted to samples, a quotient by a non-monic divisor).
 
 Counting functions live here: the coefficient list is canonical (no
 trailing zeros), arithmetic is exact, and division is only offered in
@@ -14,11 +15,11 @@ class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
+def _exact(c):
     if isinstance(c, int):
-        return Fraction(c)
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(c)}")
 
 
@@ -28,7 +29,7 @@ class CountPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -81,7 +82,7 @@ class CountPolynomial:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return CountPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -106,9 +107,9 @@ class CountPolynomial:
             if any(rem):
                 raise InexactDivisionError(f"{self} is not divisible by {other}")
             return CountPolynomial.zero()
-        quot = [Fraction(0)] * (dd - dv + 1)
+        quot = [0] * (dd - dv + 1)
         for k in range(dd, dv - 1, -1):
-            c = rem[k] / lead
+            c = _exact(Fraction(rem[k], lead))
             quot[k - dv] = c
             if c:
                 for j in range(dv + 1):
@@ -118,14 +119,14 @@ class CountPolynomial:
         return CountPolynomial(quot)
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __call__(self, x):
         """Evaluate at an exact point; returns int when the value is integral."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return int(acc) if acc.denominator == 1 else acc
+        return _exact(acc)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -153,10 +154,10 @@ class CountPolynomial:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if k == 0:
-                body = _frac_str(mag)
+                body = str(mag)
             else:
                 x = var if k == 1 else f"{var}^{k}"
-                body = x if mag == 1 else f"{_frac_str(mag)}*{x}"
+                body = x if mag == 1 else f"{mag}*{x}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -166,19 +167,11 @@ class CountPolynomial:
 
     def coeff_line(self):
         """Machine form: ascending coefficients, space separated."""
-        return " ".join(_frac_str(c) for c in self.coeffs) if self.coeffs else "0"
-
-
-def _frac_str(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return " ".join(map(str, self.coeffs)) if self.coeffs else "0"
 
 
 def _coerce(x):
-    if isinstance(x, CountPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CountPolynomial((x,))
-    raise TypeError(f"cannot coerce {type(x)} to CountPolynomial")
+    return x if isinstance(x, CountPolynomial) else CountPolynomial((x,))
 
 
 #: The polynomial q.

@@ -41,12 +41,13 @@ Conventions fixed here and relied on everywhere else:
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import prod
 from operator import attrgetter
 
 from .errors import BudgetExceeded
 from .linalg import (decode_matrix, encode_matrix, encode_vector, mat_vec,
                      reduce_mod, rref)
-from .quiver import check_vector, rep_space_dim
+from .quiver import check_vector, gl_order, rep_space_dim
 
 DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
@@ -100,14 +101,10 @@ class RepSpace:
 
     @cached_property
     def _subrep_plan(self):
-        """Catalog per vertex, candidate tuple count, and the arrows that
-        enumerate_subreps checks at each vertex: (source, arrow) pairs
-        into it from earlier vertices, (target, arrow) pairs out of it
-        into earlier vertices or itself."""
+        """Catalog per vertex, and the arrows enumerate_subreps checks at
+        each vertex: (source, arrow) pairs into it from earlier vertices,
+        (target, arrow) pairs out of it into earlier vertices or itself."""
         catalogs = tuple(subspace_catalog(self.field, n) for n in self.dims)
-        candidates = 1
-        for cat in catalogs:
-            candidates *= len(cat)
         into = [[] for _ in self.dims]
         back = [[] for _ in self.dims]
         for k, (s, t) in enumerate(self.quiver.arrows):
@@ -115,7 +112,7 @@ class RepSpace:
                 into[t].append((s, k))
             else:
                 back[s].append((t, k))
-        return catalogs, candidates, into, back
+        return catalogs, into, back
 
     def __eq__(self, other):
         return (isinstance(other, RepSpace) and self.quiver == other.quiver
@@ -420,6 +417,22 @@ def subspace_catalog(field, n):
     return _catalog(field, n)[0]
 
 
+@lru_cache(maxsize=256)
+def subspace_count(n, q):
+    """Number of subspaces of GF(q)^n, counted without listing them."""
+    return sum(gl_order(n, q) // (gl_order(k, q) * gl_order(n - k, q)
+                                  * q**(k * (n - k))) for k in range(n + 1))
+
+
+def check_tuple_budget(dims, q, max_tuples):
+    """Raise BudgetExceeded, before any catalog is built, when the
+    subspace tuples of dims over GF(q) outnumber max_tuples."""
+    candidates = prod(subspace_count(n, q) for n in dims)
+    if candidates > max_tuples:
+        raise BudgetExceeded(f"{candidates} candidate subspace tuples "
+                             f"exceed the budget {max_tuples}")
+
+
 def catalog_records(field, S):
     """The catalog record of each subspace of S over the given field.
 
@@ -467,11 +480,8 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
     space = M.space
     field = space.field
     dims = space.dims
-    catalogs, candidates, into, back = space._subrep_plan
-    if candidates > max_tuples:
-        raise BudgetExceeded(
-            f"{candidates} candidate subspace tuples exceed the budget "
-            f"{max_tuples}")
+    check_tuple_budget(dims, field.q, max_tuples)
+    catalogs, into, back = space._subrep_plan
     acts = M.actions
     chosen = [None] * len(dims)
     last = len(dims) - 1

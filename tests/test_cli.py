@@ -238,6 +238,12 @@ def test_verify_uses_problem_q_list(tmp_path, capsys):
 def test_verify_without_fields_errors(k2_file, capsys):
     assert main(["verify", k2_file]) == 2
     assert "qmax" in capsys.readouterr().err
+    # no prime power up to the bound: nothing to check is an error too
+    for qmax in ("0", "1"):
+        assert main(["verify", k2_file, "--qmax", qmax]) == 2
+        captured = capsys.readouterr()
+        assert "no fields to verify" in captured.err
+        assert "all checks passed" not in captured.out
 
 
 def test_verify_non_coprime_skips_torsor(k2_22_file, capsys):
@@ -275,6 +281,31 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     path.write_text(K2_PROBLEM + "budget-reps 2\n", encoding="utf-8")
     assert main(["stratify", str(path), "--q", "2"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize("command", [
+    ["stratify", "{problem}", "--q", "2"],
+    ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
+    ["verify", "{problem}", "--qmax", "2", "--threads", "1"],
+])
+def test_subspace_budget_is_checked_before_any_catalog(tmp_path, command):
+    # GF(2)^10 has 229,755,605 subspaces: far over the 2^20 default
+    # budget, and far too many to list under a 512 MiB address space
+    problem = tmp_path / "point.problem"
+    problem.write_text("vertices 1\ndim 10\ntheta 0\n", encoding="utf-8")
+    rep = tmp_path / "empty.rep"
+    rep.write_text("", encoding="utf-8")
+    argv = [a.format(problem=problem, rep=rep) for a in command]
+    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert "candidate subspace tuples exceed the budget" in done.stderr
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

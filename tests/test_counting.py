@@ -1,13 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from quivercount import (CoprimalityError, CountPolynomial, HNType, Quiver,
                          classify_representations, coprime_witness,
                          enumerate_hn_types, enumerate_reps, fiber_exponent,
-                         field_table, flag_count_poly, is_coprime, kronecker,
+                         field_table, flag_count_poly, gl_order,
+                         group_order_poly, is_coprime, kronecker,
                          moduli_count_poly, nonzero_subvectors,
-                         parabolic_order_poly, rep_count_poly,
-                         semistable_count_poly, stratum_count_poly,
-                         stratum_formula, torsor_orbit_count, trivial_type)
+                         parabolic_order_poly, rep_count_poly, rep_space_dim,
+                         semistable_count_poly, semistable_count_polys, slope,
+                         stratum_count_poly, stratum_formula,
+                         torsor_orbit_count, trivial_type)
 
 from conftest import a2_quiver
 
@@ -66,6 +70,79 @@ def test_semistable_polynomials():
     assert semistable_count_poly(a2_quiver(), (1, 1), THETA) == Q - 1
     assert semistable_count_poly(kronecker(2), (2, 3), (0, 0)) == \
         rep_count_poly(kronecker(2), (2, 3))
+
+
+def test_semistable_count_polys_cover_every_piece():
+    polys = semistable_count_polys(kronecker(2), (2, 3), THETA)
+    pieces = {piece for beta in enumerate_hn_types(kronecker(2), (2, 3), THETA)
+              for piece in beta.pieces}
+    assert (2, 3) in pieces and pieces <= set(polys)
+    for d, poly in polys.items():
+        assert poly == semistable_count_poly(kronecker(2), d, THETA)
+
+
+def test_counting_polynomials_have_int_coefficients():
+    # integral coefficients are plain ints, never Fraction(n, 1)
+    quiver, dims = kronecker(3), (2, 3)
+    ss = semistable_count_polys(quiver, dims, THETA)
+    polys = [semistable_count_poly(quiver, dims, THETA),
+             moduli_count_poly(quiver, dims, THETA), group_order_poly(dims)]
+    polys += [stratum_count_poly(quiver, beta, ss)
+              for beta in enumerate_hn_types(quiver, dims, THETA)]
+    for poly in polys:
+        assert poly.coeffs and all(type(c) is int for c in poly.coeffs), poly
+
+
+def _euler_form(quiver, a, b):
+    return (sum(x * y for x, y in zip(a, b))
+            - sum(a[i] * b[j] for (i, j) in quiver.arrows))
+
+
+def _resolved_semistable_count(quiver, dims, theta, q):
+    """Reineke's resolved formula (Invent. Math. 2003) at one integer q:
+    a signed sum over ordered decompositions d = d^1 + ... + d^s whose
+    partial sums d^1 + ... + d^k (k < s) all have slope above that of d,
+    with no recursion through smaller semistable counts."""
+    mu = slope(theta, dims)
+
+    def order(e):
+        out = 1
+        for n in e:
+            out *= gl_order(n, q)
+        return out
+
+    total = Fraction(0)
+
+    def walk(done, sign, weight):
+        nonlocal total
+        rest = tuple(d - x for d, x in zip(dims, done))
+        for e in nonzero_subvectors(rest):
+            w = (weight * Fraction(q**rep_space_dim(quiver, e), order(e))
+                 / Fraction(q)**_euler_form(quiver, e, done))
+            now = tuple(x + y for x, y in zip(done, e))
+            if now == dims:
+                total += sign * w
+            elif slope(theta, now) > mu:
+                walk(now, -sign, w)
+
+    walk((0,) * len(dims), 1, Fraction(1))
+    return total * order(dims)
+
+
+@pytest.mark.parametrize("quiver,dims,theta", [
+    (kronecker(2), (1, 1), THETA),
+    (kronecker(2), (2, 3), THETA),
+    (kronecker(3), (2, 3), THETA),
+    (kronecker(3), (3, 4), THETA),
+    (Quiver(3, ((0, 1), (1, 2), (0, 2))), (1, 2, 1), (2, 1, 0)),
+    (Quiver(1, ((0, 0),)), (2,), (0,)),
+    (Quiver(2, ((0, 1), (1, 0))), (2, 2), THETA),
+])
+def test_semistable_recursion_matches_the_resolved_formula(quiver, dims,
+                                                           theta):
+    poly = semistable_count_poly(quiver, dims, theta)
+    for q in (2, 3, 4, 5):
+        assert poly(q) == _resolved_semistable_count(quiver, dims, theta, q)
 
 
 LOOP_ARROW = Quiver(2, ((0, 0), (0, 1)))  # a loop plus an arrow 0 -> 1

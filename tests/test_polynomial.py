@@ -12,6 +12,13 @@ def test_canonical_trailing_zeros():
     assert CountPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
     assert CountPolynomial((0, 0)).is_zero()
     assert CountPolynomial(()).degree == -1
+    # an integral Fraction is stored as an int; a float is refused
+    p = CountPolynomial((Fraction(4, 2), Fraction(1, 3)))
+    assert type(p.coeffs[0]) is int and p.coeffs == (2, Fraction(1, 3))
+    with pytest.raises(TypeError):
+        CountPolynomial((0.5,))
+    with pytest.raises(TypeError):
+        Q + 0.5
 
 
 def test_arithmetic():
@@ -29,6 +36,11 @@ def test_div_exact():
         (Q * Q + 1).div_exact(Q - 1)
     with pytest.raises(ZeroDivisionError):
         Q.div_exact(CountPolynomial.zero())
+    # a monic divisor keeps int coefficients; a non-monic one may not
+    assert all(type(c) is int for c in (Q * Q - 1).div_exact(Q - 1).coeffs)
+    half = (Q * Q - 1).div_exact(2 * Q + 2)
+    assert half == CountPolynomial((Fraction(-1, 2), Fraction(1, 2)))
+    assert all(type(c) is Fraction for c in half.coeffs)
 
 
 def test_evaluation():
