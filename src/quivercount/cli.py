@@ -29,7 +29,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .counting import (coprime_witness, moduli_count_poly, rep_count_poly,
+from .counting import (coprime_witness, moduli_count_poly,
+                       moduli_poly_from_semistable, rep_count_poly,
                        semistable_count_polys, stratum_count_poly,
                        torsor_orbit_count)
 from .errors import (ProblemParseError, QuiverCountError,
@@ -207,13 +208,13 @@ def parse_samples(text):
 
 
 def _prime_powers_upto(limit):
-    out = []
+    out = []  # each field is built as it is listed: the cap stops the loop
     for q in range(2, limit + 1):
         try:
             prime_power(q)
         except ValueError:
             continue
-        out.append(q)
+        out.append(field_table(q).q)
     return out
 
 
@@ -351,7 +352,8 @@ def _cmd_verify(args):
     types = enumerate_hn_types(quiver, dims, theta)
     ss_polys = semistable_count_polys(quiver, dims, theta)
     witness = coprime_witness(dims, theta)
-    moduli = moduli_count_poly(quiver, dims, theta) if witness is None else None
+    moduli = (moduli_poly_from_semistable(dims, theta, ss_polys[dims])
+              if witness is None else None)
     for q in qs:
         field = field_table(q)
         table = classify_representations(

@@ -8,7 +8,9 @@ diagonal blocks):
     |S_beta| = (g_d / |P_beta|) * q^f(beta) * prod_k |R^ss(d^k)|
 
 with |P_beta| the order of the flag-preserving subgroup and f(beta)
-counting the arrow matrix entries above the block diagonal.  Which
+counting the arrow matrix entries above the block diagonal.  The flag
+factor g_d / |P_beta| is the product over vertices of the Gaussian
+multinomials [d_i; d^1_i, ..., d^s_i]_q, each computed once.  Which
 triangle of blocks is free is a convention that cannot be read off a
 formula alone; the acceptance suite locks it by exact comparison with
 exhaustive classification before anything downstream is trusted.
@@ -19,6 +21,8 @@ vectors for |R^ss|.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .errors import CoprimalityError, TheoremViolation
 from .polynomial import CountPolynomial, InexactDivisionError
@@ -63,11 +67,24 @@ def parabolic_order_poly(beta):
     return out
 
 
+@lru_cache(maxsize=1024)
+def gaussian_multinomial(n, parts):
+    """[n; parts]_q, the flags in GF(q)^n with quotients of sizes parts
+    (sorted, nonzero, summing to n; the value ignores their order): |GL_n|
+    / (q^e prod |GL_(p_k)|), e = sum over k > l of p_k p_l, exactly."""
+    exponent = (n * n - sum(p * p for p in parts)) // 2
+    return gl_order_poly(n).div_exact(prod(
+        map(gl_order_poly, parts), start=CountPolynomial.monomial(exponent)))
+
+
 def flag_count_poly(beta):
-    """Number of flags of type beta: the group order divided (exactly) by
-    the parabolic order."""
+    """Number of flags of type beta, the group order divided by the
+    parabolic order: per vertex, a Gaussian multinomial in the piece
+    dimensions there."""
+    columns = zip(beta.ambient, zip(*beta.pieces))
     try:
-        return group_order_poly(beta.ambient).div_exact(parabolic_order_poly(beta))
+        return prod((gaussian_multinomial(n, tuple(sorted(filter(None, parts))))
+                     for n, parts in columns), start=CountPolynomial.one())
     except InexactDivisionError as exc:
         raise TheoremViolation(f"inexact flag factor for type {beta}") from exc
 
@@ -182,7 +199,15 @@ def _require_coprime(dims, theta):
 
 def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
-    representations.
+    representations (see moduli_poly_from_semistable)."""
+    _require_coprime(tuple(dims), theta)  # before the recursion
+    return moduli_poly_from_semistable(
+        dims, theta, semistable_count_poly(quiver, dims, theta))
+
+
+def moduli_poly_from_semistable(dims, theta, ss_poly):
+    """The moduli count polynomial of dims, given the semistable count
+    polynomial ``ss_poly`` of dims.
 
     The stable locus fibers freely over the moduli space with fiber the
     base-change group modulo its central torus, so the count is
@@ -192,7 +217,7 @@ def moduli_count_poly(quiver, dims, theta):
     """
     dims = tuple(dims)
     _require_coprime(dims, theta)
-    numerator = CountPolynomial((-1, 1)) * semistable_count_poly(quiver, dims, theta)
+    numerator = CountPolynomial((-1, 1)) * ss_poly
     try:
         poly = numerator.div_exact(group_order_poly(dims))
     except InexactDivisionError as exc:

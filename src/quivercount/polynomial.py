@@ -5,7 +5,9 @@ coefficients: an ``int`` where integral, a ``Fraction`` only where not
 Counting functions live here: the coefficient list is canonical (no
 trailing zeros), arithmetic is exact, and division is only offered in
 the exact flavour because every division the theory prescribes must
-leave no remainder.
+leave no remainder.  Quotient coefficients are taken by ``divmod``, in
+``int``; only a leading coefficient that does not divide one makes it a
+``Fraction``, so division by the monic GL orders never builds one.
 """
 
 from fractions import Fraction
@@ -109,7 +111,9 @@ class CountPolynomial:
             return CountPolynomial.zero()
         quot = [0] * (dd - dv + 1)
         for k in range(dd, dv - 1, -1):
-            c = _exact(Fraction(rem[k], lead))
+            c, r = divmod(rem[k], lead)
+            if r:
+                c = _exact(Fraction(rem[k], lead))
             quot[k - dv] = c
             if c:
                 for j in range(dv + 1):

@@ -119,8 +119,9 @@ def gl_order(n, q):
     return out
 
 
+@lru_cache(maxsize=64)
 def gl_order_poly(n):
-    """|GL_n| as a polynomial in q."""
+    """|GL_n| as a polynomial in q; cached, as polynomials are immutable."""
     out = CountPolynomial.one()
     qn = CountPolynomial.monomial(n)
     for k in range(n):

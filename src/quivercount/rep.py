@@ -394,18 +394,14 @@ class SubspaceInfo:
         self.members = frozenset(members)
 
 
-_CATALOGS = {}
-
-
+@lru_cache(maxsize=64)
 def _catalog(field, n):
-    key = (field, n)
-    entry = _CATALOGS.get(key)
-    if entry is None:
-        records = tuple(SubspaceInfo(field, rows, n)
-                        for k in range(n + 1)
-                        for rows in enumerate_subspaces(n, k, field))
-        entry = _CATALOGS[key] = (records, {r.rows: r for r in records})
-    return entry
+    # records of an evicted catalog stay valid: ordinals are
+    # deterministic and containment compares member sets
+    records = tuple(SubspaceInfo(field, rows, n)
+                    for k in range(n + 1)
+                    for rows in enumerate_subspaces(n, k, field))
+    return records, {r.rows: r for r in records}
 
 
 def subspace_catalog(field, n):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quivercount import ProblemParseError
+from quivercount import ProblemParseError, counting, rep_count_poly
 from quivercount.cli import (main, parse_problem, parse_representation,
                              parse_samples)
 from quivercount.rep import RepSpace
@@ -286,6 +286,33 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
 def _limit_address_space():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+def test_verify_runs_the_semistable_recursion_once(k2_file, monkeypatch,
+                                                   capsys):
+    # the formulas and the moduli polynomial share one recursion: one
+    # rep_count_poly call per dimension vector it visits
+    calls = []
+
+    def counted(quiver, dims):
+        calls.append(tuple(dims))
+        return rep_count_poly(quiver, dims)
+
+    monkeypatch.setattr(counting, "rep_count_poly", counted)
+    assert main(["verify", k2_file, "--qmax", "3", "--threads", "1"]) == 0
+    assert "q=3: torsor and moduli ok" in capsys.readouterr().out
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_verify_qmax_above_the_field_cap_fails_at_once(k2_file):
+    # the first prime power over the cap ends the run before the others
+    # up to QMAX are listed
+    done = subprocess.run([sys.executable, "-m", "quivercount.cli", "verify",
+                           k2_file, "--qmax", "1000000000"],
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "q=17 exceeds the configured maximum 16" in done.stderr
 
 
 @pytest.mark.parametrize("command", [

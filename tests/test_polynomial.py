@@ -38,6 +38,12 @@ def test_div_exact():
         Q.div_exact(CountPolynomial.zero())
     # a monic divisor keeps int coefficients; a non-monic one may not
     assert all(type(c) is int for c in (Q * Q - 1).div_exact(Q - 1).coeffs)
+    # a leading coefficient that divides evenly keeps them int as well
+    even = (2 * Q * Q + 4 * Q + 2).div_exact(2 * Q + 2)
+    assert even == Q + 1
+    assert all(type(c) is int for c in even.coeffs)
+    assert all(type(c) is int
+               for c in (6 * Q * Q * Q - 6).div_exact(-3 * Q + 3).coeffs)
     half = (Q * Q - 1).div_exact(2 * Q + 2)
     assert half == CountPolynomial((Fraction(-1, 2), Fraction(1, 2)))
     assert all(type(c) is Fraction for c in half.coeffs)
