@@ -4,15 +4,14 @@ strata, stratum counting polynomials and purity-signature fitting."""
 
 from .counting import (StratumFormula, coprime_witness, fiber_exponent,
                        flag_count_poly, is_coprime, moduli_count_poly,
-                       parabolic_order_poly, poly_ops, rep_count_poly,
+                       parabolic_order_poly, rep_count_poly,
                        semistable_count_poly, semistable_count_polys,
                        stratum_count_poly, stratum_formula, torsor_orbit_count)
 from .errors import (BudgetExceeded, CoprimalityError, ProblemParseError,
                      QuiverCountError, TheoremViolation)
 from .exhaustive import (ScanClassifier, classify_direct, classify_scan,
                          count_hn_filtrations)
-from .ffield import (FieldTable, PrimePower, field_ops, field_table,
-                     make_field, prime_power)
+from .ffield import FieldTable, PrimePower, field_table, make_field, prime_power
 from .polynomial import CountPolynomial, InexactDivisionError
 from .purity import (CountSamples, PurityReport, interpolate_poly,
                      strong_purity_check, weak_purity_periodic_fit)

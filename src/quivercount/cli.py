@@ -287,6 +287,31 @@ def _cmd_hn(args):
     return 0
 
 
+def _stratum_polys(problem):
+    """The stratum polynomial of every HN type of the problem, as (type,
+    polynomial) pairs, and the semistable polynomials they are built
+    from; one recursion per problem."""
+    quiver, dims, theta = problem.quiver, problem.dims, problem.theta
+    ss = semistable_count_polys(quiver, dims, theta)
+    return [(beta, stratum_count_poly(quiver, beta, ss))
+            for beta in enumerate_hn_types(quiver, dims, theta)], ss
+
+
+def _check_strata(table, polys):
+    """Raise TheoremViolation unless the stratum table partitions its
+    space and every stratum polynomial gives its count at the table's q."""
+    total, expected = table.total(), table.expected_total()
+    if total != expected:
+        raise TheoremViolation(
+            f"partition failed at q={table.q}: {total} != {expected}")
+    for beta, poly in polys:
+        value, observed = poly(table.q), table.counts.get(beta, 0)
+        if value != observed:
+            raise TheoremViolation(
+                f"stratum formula for {beta.key_str()} at q={table.q} "
+                f"predicts {value}, classification found {observed}")
+
+
 def _cmd_stratify(args):
     problem = _load_problem(args)
     field = field_table(args.q)
@@ -296,25 +321,18 @@ def _cmd_stratify(args):
         problem.quiver, problem.dims, problem.theta, field,
         engine=args.engine, workers=workers,
         max_reps=problem.max_reps, max_tuples=problem.max_tuples)
+    polys, _ = _stratum_polys(problem)
+    _check_strata(table, polys)
     lines = [f"stratum table (q={args.q}):"]
     lines += ["  " + line for line in table.serialize_lines()]
     formulas = []
     lines.append("stratum formulas:")
-    ss = semistable_count_polys(problem.quiver, problem.dims, problem.theta)
-    for beta in enumerate_hn_types(problem.quiver, problem.dims, problem.theta):
-        poly = stratum_count_poly(problem.quiver, beta, ss)
-        value = poly(args.q)
-        observed = table.counts.get(beta, 0)
-        if value != observed:
-            raise TheoremViolation(
-                f"stratum formula for {beta.key_str()} predicts {value}, "
-                f"classification found {observed}")
-        lines.append(f"  {beta.key_str()}: {poly.pretty()} = {value}")
+    for beta, poly in polys:
+        count = table.counts.get(beta, 0)
+        lines.append(f"  {beta.key_str()}: {poly.pretty()} = {count}")
         formulas.append({"type": [list(p) for p in beta.pieces],
-                         "poly": _poly_json(poly), "count": observed})
-    total, expected = table.total(), table.expected_total()
-    if total != expected:
-        raise TheoremViolation(f"partition failed: {total} != {expected}")
+                         "poly": _poly_json(poly), "count": count})
+    total = table.total()
     lines.append(f"partition: {total} == q^{rep_space_dim(problem.quiver, problem.dims)} ok")
     obj = {"command": "stratify", "q": args.q,
            "table": [{"type": [list(p) for p in b.pieces], "count": c}
@@ -349,8 +367,7 @@ def _cmd_verify(args):
         lines.append(f"q={q}: {name} ok ({detail})")
         checks.append({"q": q, "check": name, "detail": detail})
 
-    types = enumerate_hn_types(quiver, dims, theta)
-    ss_polys = semistable_count_polys(quiver, dims, theta)
+    polys, ss_polys = _stratum_polys(problem)
     witness = coprime_witness(dims, theta)
     moduli = (moduli_poly_from_semistable(dims, theta, ss_polys[dims])
               if witness is None else None)
@@ -359,12 +376,10 @@ def _cmd_verify(args):
         table = classify_representations(
             quiver, dims, theta, field,
             max_reps=problem.max_reps, max_tuples=problem.max_tuples)
-        total, expected = table.total(), table.expected_total()
-        if total != expected:
-            raise TheoremViolation(
-                f"partition failed at q={q}: {total} != {expected}")
+        _check_strata(table, polys)
+        total = table.total()
         report("partition", q, f"{total} points in {len(table.counts)} strata")
-        if expected <= DIRECT_CROSSCHECK_LIMIT:
+        if total <= DIRECT_CROSSCHECK_LIMIT:
             direct = classify_representations(
                 quiver, dims, theta, field, engine="direct",
                 workers=args.threads,
@@ -372,14 +387,7 @@ def _cmd_verify(args):
             if direct.counts != table.counts:
                 raise TheoremViolation(f"engines disagree at q={q}")
             report("engines", q, "point-by-point table matches")
-        for beta in types:
-            value = stratum_count_poly(quiver, beta, ss_polys)(q)
-            observed = table.counts.get(beta, 0)
-            if value != observed:
-                raise TheoremViolation(
-                    f"stratum formula for {beta.key_str()} at q={q}: "
-                    f"{value} != {observed}")
-        report("stratum formulas", q, f"{len(types)} types")
+        report("stratum formulas", q, f"{len(polys)} types")
         if witness is None:
             orbits = torsor_orbit_count(quiver, dims, theta, field,
                                         table=table)
@@ -413,6 +421,13 @@ def _cmd_purity_fit(args):
     return 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quivercount",
@@ -443,9 +458,8 @@ def build_parser():
             "classify every representation over F_q into strata")
     p.add_argument("problem")
     p.add_argument("--q", required=True, type=int, help="field size")
-    p.add_argument("--engine", choices=("auto", "scan", "direct"),
-                   default="auto")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--engine", choices=("scan", "direct"), default="scan")
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker processes for the point-by-point engine")
 
     p = add("moduli-poly", _cmd_moduli_poly,
@@ -456,7 +470,7 @@ def build_parser():
             "run every cross-check for all prime powers up to a bound")
     p.add_argument("problem")
     p.add_argument("--qmax", type=int, help="check all prime powers <= QMAX")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker processes for the point-by-point engine")
 
     p = add("purity-fit", _cmd_purity_fit,

@@ -28,21 +28,8 @@ from .errors import CoprimalityError, TheoremViolation
 from .polynomial import CountPolynomial, InexactDivisionError
 from .quiver import (gl_order_poly, group_order_poly, nonzero_subvectors,
                      pg_order, rep_space_dim, slope)
+from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 from .strata import classify_representations, enumerate_hn_types
-
-
-def poly_ops(op, a, b=None):
-    """Dispatch a polynomial operation by name
-    (add|mul|div_exact|eval_at_integer)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div_exact":
-        return a.div_exact(b)
-    if op == "eval_at_integer":
-        return a(b)
-    raise ValueError(f"unknown polynomial operation {op!r}")
 
 
 def rep_count_poly(quiver, dims):
@@ -229,8 +216,8 @@ def moduli_poly_from_semistable(dims, theta, ss_poly):
     return poly
 
 
-def torsor_orbit_count(quiver, dims, theta, field, max_reps=None,
-                       max_tuples=None, table=None):
+def torsor_orbit_count(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
+                       max_tuples=DEFAULT_MAX_TUPLES, table=None):
     """Number of stable points over F_q divided by the order of the
     acting group modulo its central torus, with the divisibility
     verified on the way.

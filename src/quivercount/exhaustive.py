@@ -9,18 +9,19 @@ Two independent routes compute the stratum table:
   destabilizing subspace tuple it enumerates the representations that
   preserve it.  Preserving a fixed tuple is a linear condition, so the
   preserving set has a product parametrization (restriction block,
-  mixing block, quotient block).  Per arrow a block table lists the
-  preserving matrices with their restriction and quotient blocks;
-  scaled by the strides of the space, the subspace and the quotient,
-  the product of these lists is one stream of (index, restriction,
-  quotient) triples.  The scan handles each point the moment the
-  stream reaches it.  A group mark, one byte per point, is 0 while the
-  point is free and g once destabilizer group g has claimed it; a
-  second hit inside the claiming group breaks uniqueness.  On the first
-  hit the restriction must be semistable and the type is read off the
-  quotient's table, so a preserved point costs a few additions and
-  lookups instead of a subspace search.  This is what makes
-  million-point spaces affordable.
+  mixing block, quotient block), in the restriction and quotient
+  coordinates of the catalog records' coords tables (see the rep module
+  docstring).  Per arrow a block table lists the preserving matrices
+  with their restriction and quotient blocks; scaled by the strides of
+  the space, the subspace and the quotient, the product of these lists
+  is one stream of (index, restriction, quotient) triples.  The scan
+  handles each point the moment the stream reaches it.  A group mark,
+  one byte per point, is 0 while the point is free and g once
+  destabilizer group g has claimed it; a second hit inside the claiming
+  group breaks uniqueness.  On the first hit the restriction must be
+  semistable and the type is read off the quotient's table, so a
+  preserved point costs a few additions and lookups instead of a
+  subspace search.  This is what makes million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
 suite.  The same triple stream counts, for every point, all
@@ -35,10 +36,10 @@ from itertools import product
 
 from .errors import BudgetExceeded, TheoremViolation
 from .ffield import field_table
-from .linalg import decode_vector, encode_matrix, encode_vector, reduce_mod
+from .linalg import decode_vector, encode_matrix
 from .quiver import Quiver, nonzero_subvectors, slope, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  check_tuple_budget, subspace_catalog)
+                  check_rep_budget, check_tuple_budget, subspace_catalog)
 from .strata import HNType, trivial_type
 
 
@@ -48,8 +49,8 @@ class BlockTable:
 
     ``by_sub`` maps the encoded restricted map (in the subspace bases)
     to the pairs (encoded matrix, encoded quotient map in the free
-    coordinates) with that restriction, matching the conventions of
-    sub_rep and quotient_rep exactly.
+    coordinates) with that restriction, in the coordinates of the target
+    record's coords table, which sub_rep and quotient_rep read too.
     """
 
     __slots__ = ("by_sub",)
@@ -61,17 +62,12 @@ class BlockTable:
         free_s = src.free_cols
         fs, ft = len(free_s), n_tgt - kt
 
-        # Every target vector, with its coordinates over the target basis
-        # (pivot entries) and over the free columns of the reduction.
-        vecs, zs = [], []
+        # every target vector, its quotient coordinate, and the member
+        # vectors by restriction coordinate
+        vecs = [decode_vector(enc, n_tgt, q) for enc in range(q**n_tgt)]
+        zs = [z for _, z in tgt.coords]
         span = [None] * q**kt
-        for enc in range(q**n_tgt):
-            v = decode_vector(enc, n_tgt, q)
-            y = encode_vector([v[p] for p in tgt.pivots], q)
-            red = reduce_mod(field, tgt.rows, tgt.pivots, v)
-            z = encode_vector([red[c] for c in tgt.free_cols], q)
-            vecs.append(v)
-            zs.append(z)
+        for v, (y, z) in zip(vecs, tgt.coords):
             if z == 0:
                 span[y] = v
 
@@ -207,10 +203,9 @@ class ScanClassifier:
         if total_dim(dims) == 0:
             raise ValueError("cannot classify the zero dimension vector")
         quiver, theta, field = self.quiver, self.theta, self.field
-        N = RepSpace(quiver, dims, field).point_count
-        if N > self.max_reps:
-            raise BudgetExceeded(
-                f"{N} representations exceed the budget {self.max_reps}")
+        space = RepSpace(quiver, dims, field)
+        check_rep_budget(space, self.max_reps)
+        N = space.point_count
         check_tuple_budget(dims, field.q, self.max_tuples)
 
         mu = slope(theta, dims)
@@ -270,10 +265,9 @@ class ScanClassifier:
 
 
 def classify_scan(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
-                  max_tuples=DEFAULT_MAX_TUPLES, classifier=None):
+                  max_tuples=DEFAULT_MAX_TUPLES):
     """Stratum counts via the subspace-major engine."""
-    if classifier is None:
-        classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
+    classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
     return dict(classifier.table(tuple(dims)).counts)
 
 
@@ -313,9 +307,8 @@ def classify_direct(quiver, dims, theta, field, workers=1,
     dims = tuple(dims)
     theta = tuple(theta)
     space = RepSpace(quiver, dims, field)
+    check_rep_budget(space, max_reps)
     N = space.point_count
-    if N > max_reps:
-        raise BudgetExceeded(f"{N} representations exceed the budget {max_reps}")
     if workers <= 1 or N < POOL_MIN_POINTS:
         merged = _direct_range(quiver, dims, theta, field, 0, N, max_tuples)
     else:

@@ -212,20 +212,3 @@ def field_table(q, maximum=DEFAULT_MAX_Q):
     if q not in _CACHE:
         _CACHE[q] = make_field(q, maximum)
     return _CACHE[q]
-
-
-def field_ops(t, op, a, b=None):
-    """Dispatch a single field operation by name (add|mul|neg|inv)."""
-    if not 0 <= a < t.q or (b is not None and not 0 <= b < t.q):
-        raise ValueError("operand out of range")
-    if op in ("add", "mul") and b is None:
-        raise ValueError(f"{op} needs two operands")
-    if op == "add":
-        return t.add_table[a][b]
-    if op == "mul":
-        return t.mul_table[a][b]
-    if op == "neg":
-        return t.neg_table[a]
-    if op == "inv":
-        return t.inv(a)
-    raise ValueError(f"unknown field operation {op!r}")

@@ -46,10 +46,6 @@ def rref(field, rows):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def rank(field, rows):
-    return len(rref(field, rows)[0])
-
-
 def mat_vec(field, mat, v):
     """Apply a matrix to a column vector: out[i] = sum_k mat[i][k] * v[k]."""
     mul, add = field.mul_table, field.add_table
@@ -77,10 +73,6 @@ def reduce_mod(field, basis, pivots, v):
             cm = mul[c]
             w = [add[x][neg[cm[y]]] for x, y in zip(w, row)]
     return tuple(w)
-
-
-def in_rowspace(field, basis, pivots, v):
-    return not any(reduce_mod(field, basis, pivots, v))
 
 
 def encode_vector(v, q):

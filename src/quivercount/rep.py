@@ -24,6 +24,13 @@ Conventions fixed here and relied on everywhere else:
   dimension and then in enumerate_subspaces order; the ordinal of a
   subspace is its position there.  Each record carries the RREF rows,
   the codes of the rows and the set of codes of all members.
+* GF(q)^n = S + span(e_c : c a free column of S), and the coords table
+  of a record names each vector v by its two parts: entry c is the pair
+  (y, z) of codes with v = sum_r y[r] * row_r + sum_i z[i] * e_{free_i}.
+  So y is the restriction coordinate (the pivot entries of v), z the
+  quotient coordinate, and z = 0 exactly on the members.  Restrictions,
+  quotients and the scan's block tables all read this one table, which
+  a record builds on first use.
 * The action table of an arrow s -> t of a representation is a tuple
   of q^{d_s} codes: entry c is the code of A v for the vector v with
   code c.  Representation.actions builds one per arrow on first use
@@ -45,9 +52,9 @@ from math import prod
 from operator import attrgetter
 
 from .errors import BudgetExceeded
-from .linalg import (decode_matrix, encode_matrix, encode_vector, mat_vec,
-                     reduce_mod, rref)
-from .quiver import check_vector, gl_order, rep_space_dim
+from .linalg import (decode_matrix, decode_vector, encode_matrix,
+                     encode_vector, mat_vec, reduce_mod, rref)
+from .quiver import check_vector, rep_space_dim
 
 DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
@@ -327,6 +334,14 @@ class Filtration:
 # enumeration
 
 
+def check_rep_budget(space, max_reps):
+    """Raise BudgetExceeded when the space has more than max_reps points;
+    the count is named as q^dimension, never in full."""
+    if space.point_count > max_reps:
+        raise BudgetExceeded(f"{space.field.q}^{space.dimension} "
+                             f"representations exceed the budget {max_reps}")
+
+
 def enumerate_reps(quiver, dims, field, start=0, stop=None,
                    max_reps=DEFAULT_MAX_REPS):
     """Yield every representation exactly once, in increasing index order.
@@ -335,9 +350,7 @@ def enumerate_reps(quiver, dims, field, start=0, stop=None,
     partitioned across workers.
     """
     space = RepSpace(quiver, dims, field)
-    if space.point_count > max_reps:
-        raise BudgetExceeded(
-            f"{space.point_count} representations exceed the budget {max_reps}")
+    check_rep_budget(space, max_reps)
     if stop is None or stop > space.point_count:
         stop = space.point_count
     for index in range(start, stop):
@@ -372,10 +385,13 @@ def enumerate_subspaces(n, k, field):
 class SubspaceInfo:
     """Catalog record: an RREF basis plus derived data for fast scans."""
 
-    __slots__ = ("rows", "codes", "pivots", "free_cols", "k", "members")
+    __slots__ = ("field", "rows", "codes", "pivots", "free_cols", "k",
+                 "members", "_coords")
 
     def __init__(self, field, rows, n):
         q = field.q
+        self.field = field
+        self._coords = None
         self.rows = rows
         self.codes = tuple(encode_vector(row, q) for row in rows)
         self.k = len(rows)
@@ -392,6 +408,22 @@ class SubspaceInfo:
                     v = [add[x][mc[y]] for x, y in zip(v, row)]
             members.add(encode_vector(v, q))
         self.members = frozenset(members)
+
+    @property
+    def coords(self):
+        """Entry c: the (restriction, quotient) coordinate codes of the
+        vector with code c (see the module docstring)."""
+        if self._coords is None:
+            field, pivots, free = self.field, self.pivots, self.free_cols
+            q, n = field.q, self.k + len(free)
+            table = []
+            for c in range(q**n):
+                v = decode_vector(c, n, q)
+                rest = reduce_mod(field, self.rows, pivots, v)
+                table.append((encode_vector([v[p] for p in pivots], q),
+                              encode_vector([rest[f] for f in free], q)))
+            self._coords = tuple(table)
+        return self._coords
 
 
 @lru_cache(maxsize=64)
@@ -415,18 +447,25 @@ def subspace_catalog(field, n):
 
 @lru_cache(maxsize=256)
 def subspace_count(n, q):
-    """Number of subspaces of GF(q)^n, counted without listing them."""
-    return sum(gl_order(n, q) // (gl_order(k, q) * gl_order(n - k, q)
-                                  * q**(k * (n - k))) for k in range(n + 1))
+    """Number of subspaces of GF(q)^n, counted without listing them: the
+    sum of the Gaussian binomials, [n; k] = [n; k-1] (q^(n-k+1) - 1) /
+    (q^k - 1)."""
+    total = binom = 1
+    for k in range(1, n + 1):
+        binom = binom * (q**(n - k + 1) - 1) // (q**k - 1)
+        total += binom
+    return total
 
 
 def check_tuple_budget(dims, q, max_tuples):
     """Raise BudgetExceeded, before any catalog is built, when the
-    subspace tuples of dims over GF(q) outnumber max_tuples."""
+    subspace tuples of dims over GF(q) outnumber max_tuples; the count
+    is named by its bit length, never in full."""
     candidates = prod(subspace_count(n, q) for n in dims)
     if candidates > max_tuples:
-        raise BudgetExceeded(f"{candidates} candidate subspace tuples "
-                             f"exceed the budget {max_tuples}")
+        raise BudgetExceeded(f"2^{candidates.bit_length() - 1} or more "
+                             f"candidate subspace tuples exceed the budget "
+                             f"{max_tuples}")
 
 
 def catalog_records(field, S):
@@ -523,61 +562,50 @@ def _closed_records(M, S):
     return records
 
 
-def quotient_rep(M, S):
-    """The induced representation on the quotient coordinates.
-
-    Coordinates of the quotient at each vertex are the non-pivot
-    columns of the subspace basis; the matrix entries are read off
-    after reducing images modulo the subspace.
-    """
+def _induced_rep(M, S, quotient):
+    """The restriction of M to the subrepresentation S (quotient 0), or
+    the induced representation on the quotient by it (quotient 1), in
+    the coordinates of the coords tables: an arrow's column for a row of
+    the source subspace (a free source column) is the restriction
+    (quotient) coordinate of its image."""
     records = _closed_records(M, S)
     space = M.space
-    field = space.field
-    new_dims = tuple(d - r.k for d, r in zip(space.dims, records))
+    q = space.field.q
+    new_dims = tuple(d - r.k if quotient else r.k
+                     for d, r in zip(space.dims, records))
     mats = []
-    for (s, t), mat in zip(space.quiver.arrows, M.mats):
-        target = records[t]
-        cols = []
-        for c in records[s].free_cols:
-            # column c of the matrix is the image of the unit vector e_c
-            reduced = reduce_mod(field, target.rows, target.pivots,
-                                 [row[c] for row in mat])
-            cols.append([reduced[r] for r in target.free_cols])
-        mats.append(tuple(
-            tuple(col[i] for col in cols) for i in range(new_dims[t])))
-    return Representation._trusted(_space(space.quiver, new_dims, field),
+    for (s, t), act in zip(space.quiver.arrows, M.actions):
+        sources = ([q**c for c in records[s].free_cols] if quotient
+                   else records[s].codes)
+        coords = records[t].coords
+        cols = [coords[act[c]][quotient] for c in sources]
+        mats.append(tuple(tuple(col // q**i % q for col in cols)
+                          for i in range(new_dims[t])))
+    return Representation._trusted(_space(space.quiver, new_dims, space.field),
                                    tuple(mats))
+
+
+def quotient_rep(M, S):
+    """The induced representation on the quotient coordinates: the free
+    columns of the subspace basis at each vertex."""
+    return _induced_rep(M, S, 1)
 
 
 def sub_rep(M, S):
-    """The restriction of M to a subrepresentation, in the basis rows of S.
-
-    Coefficients are read off the pivot columns of the target basis,
-    which is the unique expression of an element of an RREF row space.
-    """
-    records = _closed_records(M, S)
-    space = M.space
-    field = space.field
-    q = field.q
-    mats = []
-    for (s, t), act in zip(space.quiver.arrows, M.actions):
-        # the pivot entries of an image are digits of its code
-        weights = [q**p for p in records[t].pivots]
-        cols = [[act[c] // w % q for w in weights] for c in records[s].codes]
-        mats.append(tuple(
-            tuple(col[i] for col in cols) for i in range(len(weights))))
-    return Representation._trusted(_space(space.quiver, S.dims, field),
-                                   tuple(mats))
+    """The restriction of M to a subrepresentation, in the basis rows of S."""
+    return _induced_rep(M, S, 0)
 
 
 def _image_in_sub_coords(field, outer, inner):
-    """inner expressed in the pivot coordinates of outer (inner <= outer)."""
+    """inner expressed in the restriction coordinates of outer (inner <=
+    outer)."""
     bases = []
-    for basis_in, basis_out in zip(inner.bases, outer.bases):
-        piv = pivots_of(basis_out)
-        coords = [tuple(row[p] for p in piv) for row in basis_in]
-        reduced, _ = rref(field, coords)
-        bases.append(reduced)
+    for rec_in, rec_out in zip(catalog_records(field, inner),
+                               catalog_records(field, outer)):
+        coords = rec_out.coords
+        rows = [decode_vector(coords[c][0], rec_out.k, field.q)
+                for c in rec_in.codes]
+        bases.append(rref(field, rows)[0])
     return SubspaceTuple._trusted(outer.dims, tuple(bases))
 
 

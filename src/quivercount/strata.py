@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded
 from .quiver import (nonzero_subvectors, rep_space_dim, slope, theta_of,
                      total_dim)
+from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 
 DEFAULT_MAX_TYPE_DIM = 64
 
@@ -184,29 +185,26 @@ class StratumTable:
         return [f"{beta.key_str()} {count}" for beta, count in self.sorted_items()]
 
 
-def classify_representations(quiver, dims, theta, field, engine="auto",
-                             workers=1, max_reps=None, max_tuples=None):
+def classify_representations(quiver, dims, theta, field, engine="scan",
+                             workers=1, max_reps=DEFAULT_MAX_REPS,
+                             max_tuples=DEFAULT_MAX_TUPLES):
     """Assign every point of the representation space to its stratum.
 
-    ``engine`` picks the route: "direct" runs the filtration procedure
-    point by point (parallelizable via ``workers``), "scan" iterates
-    candidate destabilizing subspace tuples instead, and "auto" picks
-    the scan engine.  Both engines produce identical tables.
+    ``engine`` picks the route: "scan" (the default) iterates candidate
+    destabilizing subspace tuples, and "direct" runs the filtration
+    procedure point by point (parallelizable via ``workers``).  Both
+    engines produce identical tables.
     """
     from . import exhaustive
 
-    kwargs = {}
-    if max_reps is not None:
-        kwargs["max_reps"] = max_reps
-    if max_tuples is not None:
-        kwargs["max_tuples"] = max_tuples
-    if engine in ("auto", "scan"):
-        if workers != 1 and engine == "scan":
+    if engine == "scan":
+        if workers != 1:
             raise ValueError("the scan engine is single-process")
-        counts = exhaustive.classify_scan(quiver, dims, theta, field, **kwargs)
+        counts = exhaustive.classify_scan(quiver, dims, theta, field,
+                                          max_reps, max_tuples)
     elif engine == "direct":
         counts = exhaustive.classify_direct(quiver, dims, theta, field,
-                                            workers=workers, **kwargs)
+                                            workers, max_reps, max_tuples)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return StratumTable(quiver, tuple(dims), tuple(theta), field.q, dict(counts))

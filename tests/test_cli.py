@@ -175,10 +175,10 @@ def test_stratify_scan_engine_ignores_the_default_thread_count(
     problem = tmp_path / "k2_22.problem"
     problem.write_text(K2_22_PROBLEM, encoding="utf-8")
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert main(["stratify", str(problem), "--q", "2", "--engine", "auto"]) == 0
-    auto = capsys.readouterr().out
+    assert main(["stratify", str(problem), "--q", "2"]) == 0
+    default = capsys.readouterr().out
     assert main(["stratify", str(problem), "--q", "2", "--engine", "scan"]) == 0
-    assert capsys.readouterr().out == auto
+    assert capsys.readouterr().out == default
 
 
 def test_stratify_many_arrows_does_not_recurse_per_arrow(tmp_path, capsys):
@@ -281,6 +281,47 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     path.write_text(K2_PROBLEM + "budget-reps 2\n", encoding="utf-8")
     assert main(["stratify", str(path), "--q", "2"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+ARROW_300 = "vertices 2\narrow 0 1\ndim 300 300\ntheta 1 0\n"
+POINT_300 = "vertices 1\ndim 300\ntheta 0\n"
+
+
+@pytest.mark.parametrize("text,command,expected", [
+    (ARROW_300, ["stratify", "{problem}", "--q", "2"],
+     "2^90000 representations exceed the budget 16777216"),
+    (ARROW_300, ["count-reps", "{problem}", "--brute", "2"],
+     "2^90000 representations exceed the budget 16777216"),
+    (POINT_300, ["stratify", "{problem}", "--q", "2"],
+     "candidate subspace tuples exceed the budget 1048576"),
+    (POINT_300, ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
+     "candidate subspace tuples exceed the budget 1048576"),
+])
+def test_budget_errors_name_huge_counts_briefly(tmp_path, capsys, text,
+                                                command, expected):
+    # counts far past the 4300-digit limit of int to str conversion
+    problem = tmp_path / "big.problem"
+    problem.write_text(text, encoding="utf-8")
+    rep = tmp_path / "empty.rep"
+    rep.write_text("", encoding="utf-8")
+    assert main([a.format(problem=problem, rep=rep) for a in command]) == 3
+    err = capsys.readouterr().err
+    assert expected in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("command", [
+    ["stratify", "{problem}", "--q", "2", "--engine", "direct"],
+    ["verify", "{problem}", "--qmax", "2"],
+])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_parse_error(k2_file, capsys, command,
+                                            threads):
+    argv = [a.format(problem=k2_file) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def _limit_address_space():

@@ -1,6 +1,6 @@
 import pytest
 
-from quivercount import field_ops, make_field, prime_power
+from quivercount import make_field, prime_power
 from quivercount.ffield import PrimePower
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -89,17 +89,3 @@ def test_maximum_enforced():
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         make_field(5).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        field_ops(make_field(5), "inv", 0)
-
-
-def test_field_ops_dispatch():
-    t = make_field(3)
-    assert field_ops(t, "add", 2, 2) == 1
-    assert field_ops(t, "mul", 2, 2) == 1
-    assert field_ops(t, "neg", 1) == 2
-    assert field_ops(t, "inv", 2) == 2
-    with pytest.raises(ValueError):
-        field_ops(t, "div", 1, 2)
-    with pytest.raises(ValueError):
-        field_ops(t, "add", 3, 0)

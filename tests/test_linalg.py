@@ -4,8 +4,7 @@ import pytest
 
 from quivercount import field_table
 from quivercount.linalg import (decode_matrix, decode_vector, encode_matrix,
-                                encode_vector, in_rowspace, mat_vec,
-                                reduce_mod, rref)
+                                encode_vector, mat_vec, reduce_mod, rref)
 
 
 def random_matrix(rng, rows, cols, q):
@@ -28,7 +27,7 @@ def test_rref_is_canonical(q):
             assert all(row[pp] == 0 for j, pp in enumerate(pivots) if j != i)
         # original rows lie in the row space
         for row in mat:
-            assert in_rowspace(field, basis, pivots, row)
+            assert not any(reduce_mod(field, basis, pivots, row))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from quivercount import CountPolynomial, InexactDivisionError
-from quivercount.counting import poly_ops
 
 Q = CountPolynomial((0, 1))
 
@@ -79,17 +78,6 @@ def test_coeff_line():
     assert (Q * Q + Q + 1).coeff_line() == "1 1 1"
     assert CountPolynomial.zero().coeff_line() == "0"
     assert CountPolynomial((Fraction(1, 2), -2)).coeff_line() == "1/2 -2"
-
-
-def test_poly_ops_dispatch():
-    assert poly_ops("add", Q, 1) == Q + 1
-    assert poly_ops("mul", Q - 1, Q + 1) == Q * Q - 1
-    assert poly_ops("div_exact", Q * Q - 1, Q - 1) == Q + 1
-    assert poly_ops("eval_at_integer", Q + 1, 4) == 5
-    with pytest.raises(InexactDivisionError):
-        poly_ops("div_exact", Q * Q + 1, Q - 1)
-    with pytest.raises(ValueError):
-        poly_ops("sub", Q, Q)
 
 
 def test_immutability_and_hash():

@@ -7,7 +7,8 @@ from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
                          SubspaceTuple, associated_graded, enumerate_reps,
                          enumerate_subreps, enumerate_subspaces, field_table,
                          is_subrep, kronecker, quotient_rep, sub_rep)
-from quivercount.linalg import in_rowspace, mat_vec, rref
+from quivercount.linalg import mat_vec, reduce_mod, rref
+from quivercount.rep import _catalog, subspace_count
 
 from conftest import a2_quiver
 
@@ -96,6 +97,16 @@ def test_subspace_total_counts(q):
         total = sum(sum(1 for _ in enumerate_subspaces(n, k, field))
                     for k in range(n + 1))
         assert total == sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+        assert total == subspace_count(n, q)
+
+
+def test_coords_are_built_on_first_use():
+    # a catalog never builds the q^n-entry coords tables of its records
+    records, _ = _catalog.__wrapped__(field_table(3), 3)
+    assert all(rec._coords is None for rec in records)
+    rec = records[len(records) // 2]
+    assert rec.coords is rec.coords
+    assert sum(rec._coords is not None for rec in records) == 1
 
 
 def test_subspace_enumeration_rejects_bad_dimensions(f2):
@@ -124,7 +135,7 @@ def dumb_is_subrep(M, S):
     for (s, t), mat in zip(M.space.quiver.arrows, M.mats):
         basis, pivots = rref(field, S.bases[t]) if S.bases[t] else ((), ())
         for row in S.bases[s]:
-            if not in_rowspace(field, basis, pivots, mat_vec(field, mat, row)):
+            if any(reduce_mod(field, basis, pivots, mat_vec(field, mat, row))):
                 return False
     return True
 

@@ -1,10 +1,10 @@
-"""Property tests of the subrepresentation layer and of the scan against
-the definitions.
+"""Property tests of the subspace and subrepresentation layer and of the
+scan against the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
-dimension vectors of total dimension at most 4 and q in {2, 3, 4}.  The
-runs are derandomized and keep no example database, so they repeat
-exactly.
+dimension vectors of total dimension at most 4, catalog records of
+GF(q)^n with n <= 4, and q in {2, 3, 4}.  The runs are derandomized and
+keep no example database, so they repeat exactly.
 """
 
 import tempfile
@@ -18,6 +18,8 @@ from quivercount import (Quiver, RepSpace, ScanClassifier, SubspaceTuple,
                          count_hn_filtrations, enumerate_subreps,
                          enumerate_subspaces, field_table, hn_filtration,
                          is_subrep, maximal_destabilizing, slope)
+from quivercount.linalg import decode_vector, encode_vector
+from quivercount.rep import subspace_catalog
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -124,3 +126,34 @@ def test_scan_types_match_the_procedure_at_every_point(case):
     counts = count_hn_filtrations(quiver, dims, theta, field,
                                   classifier=classifier)
     assert counts == [1] * space.point_count
+
+
+@st.composite
+def records(draw):
+    """A random catalog record of GF(q)^n, with q and n."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(0, 4))
+    catalog = subspace_catalog(field_table(q), n)
+    return q, n, catalog[draw(st.integers(0, len(catalog) - 1))]
+
+
+@DETERMINISTIC
+@given(records())
+def test_coords_split_every_vector_into_rows_and_free_columns(case):
+    # v = sum_r y[r] * row_r + sum_i z[i] * e_{free_i}, the free columns
+    # in increasing order, and z = 0 exactly on the members
+    q, n, rec = case
+    field = field_table(q)
+    add, mul = field.add_table, field.mul_table
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rec.rows]
+    free = [c for c in range(n) if c not in pivots]
+    assert len(rec.coords) == q**n
+    for c, (y, z) in enumerate(rec.coords):
+        assert 0 <= y < q**len(pivots) and 0 <= z < q**len(free)
+        v = [0] * n
+        for coef, row in zip(decode_vector(y, len(pivots), q), rec.rows):
+            v = [add[x][mul[coef][r]] for x, r in zip(v, row)]
+        for coef, col in zip(decode_vector(z, len(free), q), free):
+            v[col] = add[v[col]][coef]
+        assert encode_vector(v, q) == c
+        assert (z == 0) == (c in rec.members)

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from quivercount import (HNPolygon, HNType, Quiver, RepSpace, classify_direct,
-                         classify_representations, classify_scan,
-                         closure_consistency, count_hn_filtrations, dominates,
+from quivercount import (HNPolygon, HNType, Quiver, RepSpace, SubspaceTuple,
+                         classify_direct, classify_representations,
+                         classify_scan, closure_consistency,
+                         count_hn_filtrations, dominates,
                          enumerate_hn_types, enumerate_reps, field_table,
                          hn_filtration, is_subrep, kronecker, polygon,
                          quotient_rep, sub_rep, trivial_type)
 from quivercount.exhaustive import ScanClassifier
+from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
 
 from conftest import a2_quiver
@@ -205,12 +207,37 @@ def test_scan_classifier_handles_sub_dimensions(f2):
 # block tables against the quotient/restriction conventions
 
 
+def reference_blocks(M, S):
+    """The restriction and quotient indices of M along S, from row
+    reductions alone: an image's coordinates over the RREF rows of the
+    target are its pivot entries, and a quotient column is the image of
+    a free unit vector reduced modulo the target, read on the free
+    columns."""
+    space, field = M.space, M.space.field
+    echelon = [rref(field, basis) if basis else ((), ()) for basis in S.bases]
+    free = [tuple(c for c in range(n) if c not in pivots)
+            for n, (_, pivots) in zip(space.dims, echelon)]
+    sub_mats, quot_mats = [], []
+    for (s, t), mat in zip(space.quiver.arrows, M.mats):
+        basis, pivots = echelon[t]
+        images = [mat_vec(field, mat, row) for row in echelon[s][0]]
+        assert not any(any(reduce_mod(field, basis, pivots, v)) for v in images)
+        sub_mats.append(tuple(tuple(v[p] for v in images) for p in pivots))
+        reduced = [reduce_mod(field, basis, pivots, [row[c] for row in mat])
+                   for c in free[s]]
+        quot_mats.append(tuple(tuple(v[c] for v in reduced) for c in free[t]))
+    quot_dims = tuple(map(len, free))
+    return (RepSpace(space.quiver, S.dims, field).index_of(sub_mats),
+            RepSpace(space.quiver, quot_dims, field).index_of(quot_mats))
+
+
 @pytest.mark.parametrize("q,dims", [(2, (2, 2)), (3, (2, 1)), (2, (2, 3))])
 def test_block_tables_match_rep_conventions(q, dims):
     """Every triple the classifier lists for a subspace tuple
     reconstructs a representation whose restriction and quotient
-    indices are the listed ones, and the triples exhaust the
-    representations preserving the tuple."""
+    indices are the listed ones, by a reference built from row
+    reductions, and the triples exhaust the representations preserving
+    the tuple."""
     field = field_table(q)
     quiver = kronecker(2)
     space = RepSpace(quiver, dims, field)
@@ -222,8 +249,6 @@ def test_block_tables_match_rep_conventions(q, dims):
     rng.shuffle(picks)
     for (i, j) in picks[:6]:
         recs = (catalogs[0][i], catalogs[1][j])
-        from quivercount import SubspaceTuple
-
         S = SubspaceTuple(dims, (recs[0].rows, recs[1].rows))
         lists = cls.triples(dims, S.dims, (i, j))
         size = 1
@@ -239,8 +264,8 @@ def test_block_tables_match_rep_conventions(q, dims):
             idx, u, w = (sum(parts) for parts in zip(*choice))
             M = space.rep(idx)
             assert is_subrep(M, S)
-            assert sub_rep(M, S).index == u
-            assert quotient_rep(M, S).index == w
+            assert reference_blocks(M, S) == (u, w)
+            assert (sub_rep(M, S).index, quotient_rep(M, S).index) == (u, w)
 
 
 # ---------------------------------------------------------------------------
