@@ -39,7 +39,8 @@ from .ffield import field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  Representation, enumerate_reps)
+                  Representation, check_rep_budget, check_tuple_budget,
+                  enumerate_reps)
 from .stability import hn_filtration
 from .strata import classify_representations, enumerate_hn_types
 
@@ -367,6 +368,10 @@ def _cmd_verify(args):
         lines.append(f"q={q}: {name} ok ({detail})")
         checks.append({"q": q, "check": name, "detail": detail})
 
+    for q in qs:  # every budget fails before the semistable recursion
+        check_rep_budget(RepSpace(quiver, dims, field_table(q)),
+                         problem.max_reps)
+        check_tuple_budget(dims, q, problem.max_tuples)
     polys, ss_polys = _stratum_polys(problem)
     witness = coprime_witness(dims, theta)
     moduli = (moduli_poly_from_semistable(dims, theta, ss_polys[dims])

@@ -15,10 +15,11 @@ Two independent routes compute the stratum table:
   with their restriction and quotient blocks; scaled by the strides of
   the space, the subspace and the quotient, the product of these lists
   is one stream of (index, restriction, quotient) triples.  The scan
-  handles each point the moment the stream reaches it.  A group mark,
-  one byte per point, is 0 while the point is free and g once
-  destabilizer group g has claimed it; a second hit inside the claiming
-  group breaks uniqueness.  On the first hit the restriction must be
+  handles each point the moment the stream reaches it.  A point's type
+  id is 0 while it is free.  A type's first piece fixes its group, so
+  the ids a group interns exceed every earlier group's, and an id at
+  least the group's first id is a second hit inside the claiming group,
+  which breaks uniqueness.  On the first hit the restriction must be
   semistable and the type is read off the quotient's table, so a
   preserved point costs a few additions and lookups instead of a
   subspace search.  This is what makes million-point spaces affordable.
@@ -34,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import product
 
-from .errors import BudgetExceeded, TheoremViolation
+from .errors import TheoremViolation
 from .ffield import field_table
 from .linalg import decode_vector, encode_matrix
 from .quiver import Quiver, nonzero_subvectors, slope, total_dim
@@ -215,16 +216,14 @@ class ScanClassifier:
             if mu_e > mu:
                 groups.setdefault((mu_e, total_dim(e)), []).append(e)
         group_keys = sorted(groups, key=lambda k: (-k[0], -k[1]))
-        if len(group_keys) > 254:
-            raise BudgetExceeded("too many destabilizer groups")
 
         trivial = trivial_type(theta, dims)
         types = [trivial]
         counts = [0]
         type_index = {trivial.pieces: 0}
         type_ids = array("h", bytes(2 * N))
-        mark = bytearray(N)
-        for g, key in enumerate(group_keys, start=1):
+        for key in group_keys:
+            first = len(types)  # this group's types get ids from here on
             for e in groups[key]:
                 quot_dims = tuple(d - x for d, x in zip(dims, e))
                 sub_ids = self.table(e).type_ids
@@ -232,14 +231,13 @@ class ScanClassifier:
                 quot_ids = quot.type_ids
                 lift = [None] * len(quot.types)
                 for idx, u, w in self.preserved(dims, e):
-                    claimed = mark[idx]
-                    if claimed == g:
-                        raise TheoremViolation(
-                            "non-unique maximal destabilizing "
-                            f"subrepresentation at index {idx} of {dims}")
+                    claimed = type_ids[idx]
                     if claimed:
+                        if claimed >= first:
+                            raise TheoremViolation(
+                                "non-unique maximal destabilizing "
+                                f"subrepresentation at index {idx} of {dims}")
                         continue
-                    mark[idx] = g
                     if sub_ids[u] != 0:
                         raise TheoremViolation(
                             "extracted maximal destabilizing piece is not "

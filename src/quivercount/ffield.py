@@ -207,8 +207,8 @@ def make_field(q, maximum=DEFAULT_MAX_Q):
 _CACHE = {}
 
 
-def field_table(q, maximum=DEFAULT_MAX_Q):
+def field_table(q):
     """Cached variant of make_field; tables are immutable and shareable."""
     if q not in _CACHE:
-        _CACHE[q] = make_field(q, maximum)
+        _CACHE[q] = make_field(q)
     return _CACHE[q]

@@ -108,9 +108,11 @@ class RepSpace:
 
     @cached_property
     def _subrep_plan(self):
-        """Catalog per vertex, and the arrows enumerate_subreps checks at
-        each vertex: (source, arrow) pairs into it from earlier vertices,
-        (target, arrow) pairs out of it into earlier vertices or itself."""
+        """The zero subspace's record at every vertex, and the vertices
+        enumerate_subreps fixes (those of nonzero dimension, or vertex 0
+        alone), each with its catalog, the (source, arrow) pairs into it
+        from earlier vertices and the (target, arrow) pairs out of it
+        into earlier vertices or itself."""
         catalogs = tuple(subspace_catalog(self.field, n) for n in self.dims)
         into = [[] for _ in self.dims]
         back = [[] for _ in self.dims]
@@ -119,7 +121,9 @@ class RepSpace:
                 into[t].append((s, k))
             else:
                 back[s].append((t, k))
-        return catalogs, into, back
+        order = [i for i, n in enumerate(self.dims) if n] or [0]
+        return ([catalog[0] for catalog in catalogs],
+                [(i, catalogs[i], into[i], back[i]) for i in order])
 
     def __eq__(self, other):
         return (isinstance(other, RepSpace) and self.quiver == other.quiver
@@ -319,16 +323,6 @@ class Filtration:
         if any(a >= b for a, b in zip(totals, totals[1:])):
             raise ValueError("total dimension must strictly increase")
 
-    @property
-    def length(self):
-        """Number of nonzero steps (graded pieces)."""
-        return len(self.steps) - 1
-
-    def piece_dims(self):
-        return tuple(
-            tuple(b - a for a, b in zip(s0.dims, s1.dims))
-            for s0, s1 in zip(self.steps, self.steps[1:]))
-
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -342,18 +336,11 @@ def check_rep_budget(space, max_reps):
                              f"representations exceed the budget {max_reps}")
 
 
-def enumerate_reps(quiver, dims, field, start=0, stop=None,
-                   max_reps=DEFAULT_MAX_REPS):
-    """Yield every representation exactly once, in increasing index order.
-
-    ``start``/``stop`` select an index sub-range so the stream can be
-    partitioned across workers.
-    """
+def enumerate_reps(quiver, dims, field, max_reps=DEFAULT_MAX_REPS):
+    """Yield every representation exactly once, in increasing index order."""
     space = RepSpace(quiver, dims, field)
     check_rep_budget(space, max_reps)
-    if stop is None or stop > space.point_count:
-        stop = space.point_count
-    for index in range(start, stop):
+    for index in range(space.point_count):
         yield space.rep(index)
 
 
@@ -460,12 +447,21 @@ def subspace_count(n, q):
 def check_tuple_budget(dims, q, max_tuples):
     """Raise BudgetExceeded, before any catalog is built, when the
     subspace tuples of dims over GF(q) outnumber max_tuples; the count
-    is named by its bit length, never in full."""
-    candidates = prod(subspace_count(n, q) for n in dims)
-    if candidates > max_tuples:
-        raise BudgetExceeded(f"2^{candidates.bit_length() - 1} or more "
-                             f"candidate subspace tuples exceed the budget "
-                             f"{max_tuples}")
+    is named by a lower bound on its bit length, never in full.
+
+    The exact count at a vertex of dimension n has about n^2/4 * log2(q)
+    bits, so the lower bound [n; n//2]_q >= q^(n^2 // 4) at the largest
+    vertex is compared first, and the exact counts are summed only when
+    it fits."""
+    largest = max(dims)
+    bits = (q.bit_length() - 1) * (largest * largest // 4)
+    if bits < max_tuples.bit_length():
+        candidates = prod(subspace_count(n, q) for n in dims)
+        if candidates <= max_tuples:
+            return
+        bits = candidates.bit_length() - 1
+    raise BudgetExceeded(f"2^{bits} or more candidate subspace tuples "
+                         f"exceed the budget {max_tuples}")
 
 
 def catalog_records(field, S):
@@ -510,24 +506,27 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
     Vertices are fixed one at a time.  Each arrow is checked as soon as
     both of its ends are fixed, by looking up the action-table images
     of the source rows among the target record's members, so a failing
-    prefix is never extended.
+    prefix is never extended.  A vertex of dimension 0 has only the zero
+    subspace, and every arrow at it is closed, so it is fixed up front:
+    each other vertex has two or more subspaces, and the budget bounds
+    the recursion depth by log2(max_tuples).
     """
     space = M.space
     field = space.field
     dims = space.dims
     check_tuple_budget(dims, field.q, max_tuples)
-    catalogs, into, back = space._subrep_plan
+    zeros, levels = space._subrep_plan
     acts = M.actions
-    chosen = [None] * len(dims)
-    last = len(dims) - 1
+    chosen = list(zeros)
+    last = len(levels) - 1
 
-    def extend(i):
+    def extend(j):
+        i, catalog, into, checks = levels[j]
         need = set()
-        for s, k in into[i]:
+        for s, k in into:
             act = acts[k]
             need.update([act[c] for c in chosen[s].codes])
-        checks = back[i]
-        for rec in catalogs[i]:
+        for rec in catalog:
             if not need <= rec.members:
                 continue
             if checks and not all(
@@ -535,10 +534,10 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
                     for t, k in checks for c in rec.codes):
                 continue
             chosen[i] = rec
-            if i == last:
+            if j == last:
                 yield SubspaceTuple._from_records(dims, field, tuple(chosen))
             else:
-                yield from extend(i + 1)
+                yield from extend(j + 1)
 
     return extend(0)
 

@@ -49,10 +49,6 @@ class HNType:
     def ambient(self):
         return tuple(map(sum, zip(*self.pieces)))
 
-    @property
-    def length(self):
-        return len(self.pieces)
-
     def is_trivial(self):
         return len(self.pieces) == 1
 

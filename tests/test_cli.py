@@ -193,6 +193,26 @@ def test_stratify_many_arrows_does_not_recurse_per_arrow(tmp_path, capsys):
     assert "partition: 1 == q^0 ok" in out
 
 
+@pytest.mark.parametrize("command,expected", [
+    (["hn", "{problem}", "--rep", "{rep}", "--q", "2"], "slopes: 0\n"),
+    (["stratify", "{problem}", "--q", "2", "--engine", "direct",
+      "--threads", "1"], "partition: 1 == q^0 ok\n"),
+    (["verify", "{problem}", "--qmax", "2", "--threads", "1"],
+     "verify: all checks passed\n"),
+], ids=["hn", "stratify", "verify"])
+def test_many_vertices_do_not_recurse_per_vertex(tmp_path, capsys, command,
+                                                 expected):
+    # 1,200 vertices, all but one of dimension 0: the subrepresentation
+    # search fixes the vertices one at a time
+    problem = tmp_path / "vertices.problem"
+    problem.write_text("vertices 1200\ndim 1" + " 0" * 1199
+                       + "\ntheta" + " 0" * 1200 + "\n", encoding="utf-8")
+    rep = tmp_path / "empty.rep"
+    rep.write_text("", encoding="utf-8")
+    assert main([a.format(problem=problem, rep=rep) for a in command]) == 0
+    assert expected in capsys.readouterr().out
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the process pool of the direct engine is imported only when used
     code = "import sys, quivercount.cli; print('multiprocessing' in sys.modules)"
@@ -374,6 +394,33 @@ def test_subspace_budget_is_checked_before_any_catalog(tmp_path, command):
                           preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert "candidate subspace tuples exceed the budget" in done.stderr
+
+
+K3_1213 = "vertices 2\n" + "arrow 0 1\n" * 3 + "dim 12 13\ntheta 1 0\n"
+POINT_3000 = "vertices 1\ndim 3000\ntheta 0\n"
+
+
+@pytest.mark.parametrize("text,command,expected", [
+    (K3_1213, ["verify", "{problem}", "--qmax", "2"],
+     "2^468 representations exceed the budget 16777216"),
+    (POINT_3000, ["stratify", "{problem}", "--q", "2"],
+     "2^2250000 or more candidate subspace tuples exceed the budget"),
+    (POINT_3000, ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
+     "2^2250000 or more candidate subspace tuples exceed the budget"),
+], ids=["verify-k3", "stratify-point", "hn-point"])
+def test_budgets_fail_before_the_long_work(tmp_path, text, command,
+                                           expected):
+    # the semistable recursion of K3 (12,13) runs for more than a minute,
+    # and the exact subspace count of GF(2)^3000 has 2,250,003 bits
+    problem = tmp_path / "big.problem"
+    problem.write_text(text, encoding="utf-8")
+    rep = tmp_path / "empty.rep"
+    rep.write_text("", encoding="utf-8")
+    argv = [a.format(problem=problem, rep=rep) for a in command]
+    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert done.returncode == 3, done.stderr
+    assert expected in done.stderr
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -8,8 +8,9 @@ from quivercount import (HNPolygon, HNType, Quiver, RepSpace, SubspaceTuple,
                          classify_scan, closure_consistency,
                          count_hn_filtrations, dominates,
                          enumerate_hn_types, enumerate_reps, field_table,
-                         hn_filtration, is_subrep, kronecker, polygon,
-                         quotient_rep, sub_rep, trivial_type)
+                         hn_filtration, is_subrep, kronecker,
+                         nonzero_subvectors, polygon, quotient_rep, slope,
+                         sub_rep, trivial_type)
 from quivercount.exhaustive import ScanClassifier
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
@@ -176,6 +177,20 @@ def test_engines_agree(quiver, dims, theta, q):
     field = field_table(q)
     assert classify_scan(quiver, dims, theta, field) == \
         classify_direct(quiver, dims, theta, field)
+
+
+def test_scan_claims_points_past_254_destabilizer_groups(f2):
+    # distinct powers of two as theta: 255 (slope, total dimension) groups
+    # above the slope of (1,)*9, and every point is hit in many of them
+    quiver = Quiver(9, ((0, 8), (1, 7)))
+    dims = (1,) * 9
+    theta = tuple(2**i for i in range(9))
+    mu = slope(theta, dims)
+    groups = {(slope(theta, e), sum(e)) for e in nonzero_subvectors(dims)
+              if slope(theta, e) > mu}
+    assert len(groups) == 255
+    assert classify_scan(quiver, dims, theta, f2) == \
+        classify_direct(quiver, dims, theta, f2)
 
 
 def test_classify_direct_workers(f3, monkeypatch):
