@@ -58,6 +58,15 @@ class ProblemFile:
     max_tuples: int = DEFAULT_MAX_TUPLES
 
 
+def _data_lines(text):
+    """Yield (line number, line) for every line that is not blank once
+    its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_problem(text):
     """Parse a problem file; rejects unknown keys, duplicate keys and
     semantic mismatches, reporting the offending line."""
@@ -65,15 +74,14 @@ def parse_problem(text):
     arrows = []
     dims = theta = q_list = None
     max_reps, max_tuples = DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
-    seen_budget_reps = seen_budget_tuples = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    seen = set()
+    for lineno, line in _data_lines(text):
         key, *args = line.split()
+        if key in seen:
+            raise ProblemParseError(f"duplicate {key!r}", lineno)
+        if key != "arrow":
+            seen.add(key)
         if key == "vertices":
-            if vertices is not None:
-                raise ProblemParseError("duplicate 'vertices'", lineno)
             vertices = _one_int(args, lineno, minimum=1)
         elif key == "arrow":
             if vertices is None:
@@ -84,16 +92,10 @@ def parse_problem(text):
                     f"arrow endpoint outside 0..{vertices - 1}", lineno)
             arrows.append((src, dst))
         elif key == "dim":
-            if dims is not None:
-                raise ProblemParseError("duplicate 'dim'", lineno)
             dims = _vector(args, vertices, lineno, minimum=0)
         elif key == "theta":
-            if theta is not None:
-                raise ProblemParseError("duplicate 'theta'", lineno)
             theta = _vector(args, vertices, lineno)
         elif key == "q":
-            if q_list is not None:
-                raise ProblemParseError("duplicate 'q'", lineno)
             values = _ints(args, None, lineno)
             for v in values:
                 try:
@@ -102,14 +104,8 @@ def parse_problem(text):
                     raise ProblemParseError(str(exc), lineno) from exc
             q_list = tuple(values)
         elif key == "budget-reps":
-            if seen_budget_reps:
-                raise ProblemParseError("duplicate 'budget-reps'", lineno)
-            seen_budget_reps = True
             max_reps = _one_int(args, lineno, minimum=1)
         elif key == "budget-subspaces":
-            if seen_budget_tuples:
-                raise ProblemParseError("duplicate 'budget-subspaces'", lineno)
-            seen_budget_tuples = True
             max_tuples = _one_int(args, lineno, minimum=1)
         else:
             raise ProblemParseError(f"unknown key {key!r}", lineno)
@@ -156,12 +152,7 @@ def _vector(args, vertices, lineno, minimum=None):
 def parse_representation(text, space):
     """Parse a representation literal for the given space."""
     expected = [(k, size) for k, size in enumerate(space.arrow_sizes) if size > 0]
-    data_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        data_lines.append((lineno, line))
+    data_lines = list(_data_lines(text))
     if len(data_lines) != len(expected):
         raise ProblemParseError(
             f"expected {len(expected)} matrix lines, got {len(data_lines)}")
@@ -184,10 +175,7 @@ def parse_samples(text):
     """Parse a sample file: a ``base_q <q>`` header, then ``n count`` lines."""
     base_q = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         key, *args = line.split()
         if key == "base_q":
             if base_q is not None:
@@ -199,6 +187,7 @@ def parse_samples(text):
             try:
                 pairs.append((int(key), int(args[0])))
             except ValueError as exc:
+                raw = text.splitlines()[lineno - 1]
                 raise ProblemParseError(f"bad sample line: {raw!r}", lineno) from exc
     if base_q is None:
         raise ProblemParseError("missing 'base_q' header")
@@ -242,13 +231,14 @@ def _load_problem(args):
 
 def _cmd_count_reps(args):
     problem = _load_problem(args)
+    if args.brute is not None:  # its budget fails before the polynomial is built
+        field = field_table(args.brute)
+        count = sum(1 for _ in enumerate_reps(
+            problem.quiver, problem.dims, field, max_reps=problem.max_reps))
     poly = rep_count_poly(problem.quiver, problem.dims)
     lines = [f"rep-count-poly: {poly.pretty()}", f"coeffs: {poly.coeff_line()}"]
     obj = {"command": "count-reps", "poly": _poly_json(poly)}
     if args.brute is not None:
-        field = field_table(args.brute)
-        count = sum(1 for _ in enumerate_reps(
-            problem.quiver, problem.dims, field, max_reps=problem.max_reps))
         expected = poly(args.brute)
         if count != expected:
             raise TheoremViolation(

@@ -33,12 +33,12 @@ slopes (the uniqueness oracle for the filtration procedure).
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from itertools import product
 
 from .errors import TheoremViolation
-from .ffield import field_table
 from .linalg import decode_vector, encode_matrix
-from .quiver import Quiver, nonzero_subvectors, slope, total_dim
+from .quiver import nonzero_subvectors, slope, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   check_rep_budget, check_tuple_budget, subspace_catalog)
 from .strata import HNType, trivial_type
@@ -284,14 +284,6 @@ def _direct_range(quiver, dims, theta, field, start, stop, max_tuples):
     return counter
 
 
-def _direct_worker(args):
-    (vertex_count, arrows, dims, theta, q, start, stop, max_tuples) = args
-    quiver = Quiver(vertex_count, arrows)
-    field = field_table(q)
-    counter = _direct_range(quiver, dims, theta, field, start, stop, max_tuples)
-    return list(counter.items())
-
-
 POOL_MIN_POINTS = 2048  # below this the pool startup dominates the work
 
 
@@ -311,16 +303,14 @@ def classify_direct(quiver, dims, theta, field, workers=1,
         merged = _direct_range(quiver, dims, theta, field, 0, N, max_tuples)
     else:
         chunk = -(-N // (2 * workers))
-        jobs = [(quiver.vertex_count, quiver.arrows, dims, theta, field.q,
-                 lo, min(lo + chunk, N), max_tuples)
-                for lo in range(0, N, chunk)]
+        starts = range(0, N, chunk)
+        stops = [min(lo + chunk, N) for lo in starts]
+        job = partial(_direct_range, quiver, dims, theta, field,
+                      max_tuples=max_tuples)
         from concurrent.futures import ProcessPoolExecutor
 
-        merged = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for items in pool.map(_direct_worker, jobs):
-                for pieces, n in items:
-                    merged[pieces] += n
+            merged = sum(pool.map(job, starts, stops), Counter())
     return {HNType(theta, pieces): n for pieces, n in merged.items()}
 
 
@@ -382,13 +372,10 @@ class FiltrationCounter:
         return out
 
 
-def count_hn_filtrations(quiver, dims, theta, field, classifier=None,
-                         max_reps=DEFAULT_MAX_REPS,
+def count_hn_filtrations(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
                          max_tuples=DEFAULT_MAX_TUPLES):
     """Number of valid filtrations of every point, by representation index."""
-    if classifier is None:
-        classifier = ScanClassifier(quiver, tuple(theta), field,
-                                    max_reps, max_tuples)
+    classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
     result = FiltrationCounter(classifier).counts(tuple(dims), None)
     if result is None:
         space = RepSpace(quiver, tuple(dims), field)

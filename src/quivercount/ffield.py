@@ -12,6 +12,7 @@ can index them freely in inner loops.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 DEFAULT_MAX_Q = 16
 
@@ -29,7 +30,7 @@ def prime_power(q):
     """Factor q as p^e, or raise ValueError if q is not a prime power."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"not a prime power: {q!r}")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     e, rest = 0, q
     while rest % p == 0:
         rest //= p
@@ -179,9 +180,10 @@ def make_field(q, maximum=DEFAULT_MAX_Q):
     irreducible of degree e whose non-leading coefficient vector is
     least in the base-p integer encoding.
     """
+    size = q.q if isinstance(q, PrimePower) else q
+    if isinstance(size, int) and size > maximum:  # before factoring q
+        raise ValueError(f"q={size} exceeds the configured maximum {maximum}")
     pp = q if isinstance(q, PrimePower) else prime_power(q)
-    if pp.q > maximum:
-        raise ValueError(f"q={pp.q} exceeds the configured maximum {maximum}")
     p, e, n = pp.p, pp.e, pp.q
     if e == 1:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))

@@ -54,14 +54,14 @@ class PurityReport:
     polynomials: tuple | None = None
     details: str = ""
 
-    def format_lines(self, var="t"):
+    def format_lines(self):
         lines = [f"verdict: {self.verdict}"]
         if self.verdict == STRONG:
-            lines.append(f"P: {self.polynomials[0].pretty(var)}")
+            lines.append(f"P: {self.polynomials[0].pretty('t')}")
         elif self.verdict == PERIODIC:
             lines.append(f"period: {self.period}")
             for r, poly in enumerate(self.polynomials):
-                lines.append(f"P_{r}: {poly.pretty(var)}")
+                lines.append(f"P_{r}: {poly.pretty('t')}")
         if self.details:
             lines.append(f"details: {self.details}")
         return lines

@@ -79,13 +79,21 @@ class RepSpace:
             (self.dims[t], self.dims[s]) for (s, t) in quiver.arrows)
         self.arrow_sizes = tuple(r * c for (r, c) in self.arrow_shapes)
         self.dimension = rep_space_dim(quiver, self.dims)
+
+    # built on first use, so a budget check can reject a space before
+    # q^dimension is ever computed
+    @cached_property
+    def arrow_strides(self):
         strides = []
         acc = 1
         for size in self.arrow_sizes:
             strides.append(acc)
-            acc *= field.q**size
-        self.arrow_strides = tuple(strides)
-        self.point_count = acc
+            acc *= self.field.q**size
+        return tuple(strides)
+
+    @cached_property
+    def point_count(self):
+        return self.field.q**self.dimension
 
     def rep(self, index):
         """The representation with the given index."""
@@ -330,10 +338,14 @@ class Filtration:
 
 def check_rep_budget(space, max_reps):
     """Raise BudgetExceeded when the space has more than max_reps points;
-    the count is named as q^dimension, never in full."""
-    if space.point_count > max_reps:
-        raise BudgetExceeded(f"{space.field.q}^{space.dimension} "
-                             f"representations exceed the budget {max_reps}")
+    the count is named as q^dimension, never in full.  The lower bound
+    2^(floor(log2 q) * dimension) is compared first, so q^dimension is
+    computed only when it has about as many bits as the budget."""
+    q, n = space.field.q, space.dimension
+    if ((q.bit_length() - 1) * n >= max_reps.bit_length()
+            or space.point_count > max_reps):
+        raise BudgetExceeded(
+            f"{q}^{n} representations exceed the budget {max_reps}")
 
 
 def enumerate_reps(quiver, dims, field, max_reps=DEFAULT_MAX_REPS):

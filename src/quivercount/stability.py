@@ -49,13 +49,11 @@ def _slope_ranks(M, theta):
 
 def is_semistable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """King's test: M is semistable iff no nonzero subrepresentation has
-    slope exceeding the slope of M."""
-    ranks, mu = _slope_ranks(M, theta)
-    for S in enumerate_subreps(M, max_tuples=max_tuples):
-        if S.total_dim == 0:
-            continue
-        if ranks[S.dims] > mu:
-            return StabilityVerdict(UNSTABLE, S)
+    slope exceeding the slope of M.  The full tuple never does, so this
+    is is_stable's scan with its two semistable verdicts merged."""
+    verdict = is_stable(M, theta, max_tuples=max_tuples)
+    if verdict.status == UNSTABLE:
+        return verdict
     return StabilityVerdict(SEMISTABLE)
 
 

@@ -121,7 +121,7 @@ def dominates(gamma, beta):
     return all(pg.height_at(x) >= pb.height_at(x) for x in xs)
 
 
-def enumerate_hn_types(quiver, dims, theta, max_dim=DEFAULT_MAX_TYPE_DIM):
+def enumerate_hn_types(quiver, dims, theta):
     """All ordered decompositions of the dimension vector into nonzero
     pieces with strictly decreasing slopes, the trivial type included.
 
@@ -132,9 +132,9 @@ def enumerate_hn_types(quiver, dims, theta, max_dim=DEFAULT_MAX_TYPE_DIM):
     theta = tuple(int(t) for t in theta)
     if total_dim(dims) == 0:
         raise ValueError("no types for the zero dimension vector")
-    if total_dim(dims) > max_dim:
-        raise BudgetExceeded(
-            f"total dimension {total_dim(dims)} exceeds the type budget {max_dim}")
+    if total_dim(dims) > DEFAULT_MAX_TYPE_DIM:
+        raise BudgetExceeded(f"total dimension {total_dim(dims)} exceeds "
+                             f"the type budget {DEFAULT_MAX_TYPE_DIM}")
 
     def rest(remaining, bound):
         if total_dim(remaining) == 0:

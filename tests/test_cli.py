@@ -423,6 +423,59 @@ def test_budgets_fail_before_the_long_work(tmp_path, text, command,
     assert expected in done.stderr
 
 
+HUGE_ARROW = "vertices 2\narrow 0 1\ndim 100000 100000\ntheta 1 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["stratify", "{problem}", "--q", "2"],
+    ["stratify", "{problem}", "--q", "2", "--engine", "direct"],
+    ["verify", "{problem}", "--qmax", "2", "--threads", "1"],
+    ["count-reps", "{problem}", "--brute", "2"],
+], ids=["stratify", "stratify-direct", "verify", "count-reps-brute"])
+def test_point_budget_is_checked_before_the_point_count(tmp_path, command):
+    # 2^10000000000 has 10^10 bits: the budget must fail before the
+    # point count or the counting polynomial is built
+    problem = tmp_path / "huge.problem"
+    problem.write_text(HUGE_ARROW, encoding="utf-8")
+    argv = [a.format(problem=problem) for a in command]
+    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
+                          capture_output=True, text=True, timeout=5,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert ("2^10000000000 representations exceed the budget 16777216"
+            in done.stderr)
+
+
+K2_WITH_Q = "vertices 2\narrow 0 1\narrow 0 1\ndim 1 1\ntheta 1 0\nq {q}\n"
+
+
+@pytest.mark.parametrize("q,command,code,expected", [
+    (2, ["stratify", "{problem}", "--q", "1000000007"], 1,
+     "q=1000000007 exceeds the configured maximum 16"),
+    (2, ["hn", "{problem}", "--rep", "{rep}", "--q", "1000000007"], 1,
+     "q=1000000007 exceeds the configured maximum 16"),
+    (2, ["count-reps", "{problem}", "--brute", "1000000007"], 1,
+     "q=1000000007 exceeds the configured maximum 16"),
+    (1000000007, ["verify", "{problem}"], 1,
+     "q=1000000007 exceeds the configured maximum 16"),
+    (1000000006, ["verify", "{problem}"], 2,
+     "line 6: not a prime power: 1000000006"),
+], ids=["stratify", "hn", "count-reps-brute", "verify-q-line",
+        "q-line-not-prime-power"])
+def test_large_field_sizes_fail_at_once(tmp_path, q, command, code,
+                                        expected):
+    # factoring q by trial division up to q itself took over 20 s here
+    problem = tmp_path / "k2.problem"
+    problem.write_text(K2_WITH_Q.format(q=q), encoding="utf-8")
+    rep = tmp_path / "k2.rep"
+    rep.write_text("0\n0\n", encoding="utf-8")
+    argv = [a.format(problem=problem, rep=rep) for a in command]
+    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert done.returncode == code, done.stderr
+    assert expected in done.stderr
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.problem"
     path.write_text("vertices 2\narrow 0 5\ndim 1 1\ntheta 1 0\n", encoding="utf-8")

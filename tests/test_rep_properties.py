@@ -14,10 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quivercount import (Quiver, RepSpace, ScanClassifier, SubspaceTuple,
-                         count_hn_filtrations, enumerate_subreps,
+from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
+                         Quiver, RepSpace, ScanClassifier, StabilityVerdict,
+                         SubspaceTuple, count_hn_filtrations, enumerate_subreps,
                          enumerate_subspaces, field_table, hn_filtration,
-                         is_subrep, maximal_destabilizing, slope)
+                         is_semistable, is_stable, is_subrep,
+                         maximal_destabilizing, slope)
 from quivercount.linalg import decode_vector, encode_vector
 from quivercount.rep import subspace_catalog
 
@@ -87,6 +89,25 @@ def test_enumeration_is_the_definitional_filter(point):
                        if (slope(theta, S.dims), S.total_dim) == (top, size)]
     assert maximal_destabilizing(M, theta) == expected
 
+    # King's test and the three-way verdict, by definition; each witness
+    # is a subrepresentation of slope at least that of M
+    mu = slope(theta, dims)
+    semistable, stable = is_semistable(M, theta), is_stable(M, theta)
+    if top > mu:
+        for verdict in (semistable, stable):
+            assert verdict.status == UNSTABLE
+            assert verdict.witness in subreps
+            assert slope(theta, verdict.witness.dims) > mu
+    else:
+        assert semistable == StabilityVerdict(SEMISTABLE)
+        equal = [S for S in nonzero
+                 if not S.is_full() and slope(theta, S.dims) == mu]
+        if equal:
+            assert stable.status == SEMISTABLE_NOT_STABLE
+            assert stable.witness in equal
+        else:
+            assert stable == StabilityVerdict(STABLE)
+
 
 @st.composite
 def spaces(draw):
@@ -123,8 +144,7 @@ def test_scan_types_match_the_procedure_at_every_point(case):
         _, beta = hn_filtration(space.rep(idx), theta)
         assert table.types[table.type_ids[idx]] == beta
     assert sum(table.counts.values()) == space.point_count
-    counts = count_hn_filtrations(quiver, dims, theta, field,
-                                  classifier=classifier)
+    counts = count_hn_filtrations(quiver, dims, theta, field)
     assert counts == [1] * space.point_count
 
 

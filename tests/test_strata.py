@@ -56,7 +56,7 @@ def test_enumerate_types_budget():
     from quivercount import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        enumerate_hn_types(kronecker(2), (2, 3), THETA, max_dim=4)
+        enumerate_hn_types(kronecker(2), (32, 33), THETA)
 
 
 def test_polygon_examples():
