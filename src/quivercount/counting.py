@@ -15,11 +15,14 @@ triangle of blocks is free is a convention that cannot be read off a
 formula alone; the acceptance suite locks it by exact comparison with
 exhaustive classification before anything downstream is trusted.
 
-Summing strata over all types recovers the whole space, which solved
-for the open stratum turns into a recursion over smaller dimension
-vectors for |R^ss|.
+The semistable counts come from a two-step recursion (Reineke) that
+peels off the first HN piece, so it never lists the types: a point
+count of R(m) splits by the dimension vector of its first piece, and
+the remaining pieces are a point of a smaller space whose HN slopes all
+lie below that piece's slope.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -29,7 +32,7 @@ from .polynomial import CountPolynomial, InexactDivisionError
 from .quiver import (gl_order_poly, group_order_poly, nonzero_subvectors,
                      pg_order, rep_space_dim, slope)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
-from .strata import classify_representations, enumerate_hn_types
+from .strata import check_type_budget, classify_representations
 
 
 def rep_count_poly(quiver, dims):
@@ -129,27 +132,43 @@ def semistable_count_polys(quiver, dims, theta):
     """Point count polynomials of semistable loci, as a dict keyed by
     dimension vector: dims and every piece of every type of dims.
 
-    Recursion over total dimension: the whole space is the disjoint
-    union of its strata, every nontrivial stratum is a closed form in
-    semistable counts of strictly smaller dimension vectors, and the
-    trivial stratum is the semistable locus itself.
+    Reineke's two-step recursion peels off the first HN piece.  The
+    points of R(m) whose first piece has dimension vector e, of slope
+    above mu(m), number [m; e]_q * q^(sum over arrows i->j of
+    (m-e)_i e_j) * ss(e) * L(m-e, mu(e)), where L(m, b) counts the
+    points of R(m) whose HN slopes all lie below b.  So L(m, b) is all
+    of R(m) less these counts for the e of slope at least b, and
+    ss(m) = L(m, b) for b just above mu(m).
     """
     theta = tuple(theta)
-    memo = {}
+    tables = {}
 
-    def ss(d):
-        if d not in memo:
-            total = rep_count_poly(quiver, d)
-            for beta in enumerate_hn_types(quiver, d, theta):
-                if beta.is_trivial():
-                    continue
-                counts = {piece: ss(piece) for piece in set(beta.pieces)}
-                total = total - stratum_count_poly(quiver, beta, counts)
-            memo[d] = total
-        return memo[d]
+    def table(m):
+        """The slopes above mu(m) of the subvectors of m, ascending, and
+        L(m, b) indexed by how many of them lie below b > mu(m): from
+        ss(m) at index 0 to all of R(m) at the end."""
+        if m not in tables:
+            mu = slope(theta, m)
+            upper = sorted((mu_e, e) for e in nonzero_subvectors(m)
+                           if (mu_e := slope(theta, e)) > mu)
+            counts = [rep_count_poly(quiver, m)]
+            for mu_e, e in reversed(upper):
+                rest = tuple(a - b for a, b in zip(m, e))
+                flags = prod((gaussian_multinomial(n, tuple(sorted((k, n - k))))
+                              for n, k in zip(m, e) if 0 < k < n),
+                             start=CountPolynomial.monomial(sum(
+                                 rest[i] * e[j] for (i, j) in quiver.arrows)))
+                # mu(rest) < mu(m) < mu(e), so L(rest, mu(e)) is in rest's table
+                mus, rest_counts = table(rest)
+                tail = rest_counts[bisect_left(mus, mu_e)]
+                counts.append(counts[-1] - flags * table(e)[1][0] * tail)
+            tables[m] = [mu_e for mu_e, _ in upper], counts[::-1]
+        return tables[m]
 
-    ss(tuple(dims))
-    return memo
+    dims = tuple(dims)
+    check_type_budget(dims)
+    table(dims)
+    return {m: counts[0] for m, (_, counts) in tables.items()}
 
 
 def semistable_count_poly(quiver, dims, theta):
@@ -199,7 +218,8 @@ def moduli_poly_from_semistable(dims, theta, ss_poly):
     The stable locus fibers freely over the moduli space with fiber the
     base-change group modulo its central torus, so the count is
     (q - 1) * |R^ss| / g_d.  The division must be exact and the result
-    must have integer coefficients; either failure is a theorem
+    must have integer coefficients, none negative (strong purity: it is
+    a Poincare polynomial in q = t^2); each failure is a theorem
     violation, not a recoverable condition.
     """
     dims = tuple(dims)
@@ -213,6 +233,9 @@ def moduli_poly_from_semistable(dims, theta, ss_poly):
     if not poly.has_integer_coeffs():
         raise TheoremViolation(
             f"moduli counting polynomial has non-integer coefficients: {poly}")
+    if not poly.has_nonnegative_coeffs():
+        raise TheoremViolation(
+            f"moduli counting polynomial has a negative coefficient: {poly}")
     return poly
 
 

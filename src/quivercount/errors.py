@@ -39,8 +39,9 @@ class CoprimalityError(QuiverCountError):
 class TheoremViolation(QuiverCountError):
     """An identity the theory guarantees failed to hold.
 
-    Raised on inexact divisions, non-integer coefficients, partition
-    failures and non-unique maximal destabilizing subrepresentations.
+    Raised on inexact divisions, non-integer or negative moduli
+    coefficients, partition failures and non-unique maximal
+    destabilizing subrepresentations.
     Never recoverable: it means either a bug or a wrong convention.
     """
 

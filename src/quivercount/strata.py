@@ -121,6 +121,16 @@ def dominates(gamma, beta):
     return all(pg.height_at(x) >= pb.height_at(x) for x in xs)
 
 
+def check_type_budget(dims):
+    """Reject the zero vector, which has no types, and a total dimension
+    beyond the type budget (exit 3) before any recursion over types."""
+    if total_dim(dims) == 0:
+        raise ValueError("no types for the zero dimension vector")
+    if total_dim(dims) > DEFAULT_MAX_TYPE_DIM:
+        raise BudgetExceeded(f"total dimension {total_dim(dims)} exceeds "
+                             f"the type budget {DEFAULT_MAX_TYPE_DIM}")
+
+
 def enumerate_hn_types(quiver, dims, theta):
     """All ordered decompositions of the dimension vector into nonzero
     pieces with strictly decreasing slopes, the trivial type included.
@@ -130,11 +140,7 @@ def enumerate_hn_types(quiver, dims, theta):
     """
     dims = tuple(int(d) for d in dims)
     theta = tuple(int(t) for t in theta)
-    if total_dim(dims) == 0:
-        raise ValueError("no types for the zero dimension vector")
-    if total_dim(dims) > DEFAULT_MAX_TYPE_DIM:
-        raise BudgetExceeded(f"total dimension {total_dim(dims)} exceeds "
-                             f"the type budget {DEFAULT_MAX_TYPE_DIM}")
+    check_type_budget(dims)
 
     def rest(remaining, bound):
         if total_dim(remaining) == 0:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,22 @@ from quivercount.cli import (main, parse_problem, parse_representation,
                              parse_samples)
 from quivercount.rep import RepSpace
 from quivercount import field_table, kronecker
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env():
+    """The environment for a child interpreter, with the checkout's src/
+    first on its path, so the children import this checkout installed or
+    not."""
+    paths = [SRC, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _run_cli(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          **kwargs)
 
 K2_PROBLEM = """\
 # 2-Kronecker quiver
@@ -217,7 +235,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     # the process pool of the direct engine is imported only when used
     code = "import sys, quivercount.cli; print('multiprocessing' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=_child_env())
     assert done.stdout == "False\n"
 
 
@@ -368,9 +386,7 @@ def test_verify_runs_the_semistable_recursion_once(k2_file, monkeypatch,
 def test_verify_qmax_above_the_field_cap_fails_at_once(k2_file):
     # the first prime power over the cap ends the run before the others
     # up to QMAX are listed
-    done = subprocess.run([sys.executable, "-m", "quivercount.cli", "verify",
-                           k2_file, "--qmax", "1000000000"],
-                          capture_output=True, text=True, timeout=10)
+    done = _run_cli(["verify", k2_file, "--qmax", "1000000000"], timeout=10)
     assert done.returncode == 1
     assert done.stdout == ""
     assert "q=17 exceeds the configured maximum 16" in done.stderr
@@ -389,15 +405,14 @@ def test_subspace_budget_is_checked_before_any_catalog(tmp_path, command):
     rep = tmp_path / "empty.rep"
     rep.write_text("", encoding="utf-8")
     argv = [a.format(problem=problem, rep=rep) for a in command]
-    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=_limit_address_space)
+    done = _run_cli(argv, timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert "candidate subspace tuples exceed the budget" in done.stderr
 
 
 K3_1213 = "vertices 2\n" + "arrow 0 1\n" * 3 + "dim 12 13\ntheta 1 0\n"
 POINT_3000 = "vertices 1\ndim 3000\ntheta 0\n"
+K2_3233 = "vertices 2\n" + "arrow 0 1\n" * 2 + "dim 32 33\ntheta 1 0\n"
 
 
 @pytest.mark.parametrize("text,command,expected", [
@@ -407,18 +422,21 @@ POINT_3000 = "vertices 1\ndim 3000\ntheta 0\n"
      "2^2250000 or more candidate subspace tuples exceed the budget"),
     (POINT_3000, ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
      "2^2250000 or more candidate subspace tuples exceed the budget"),
-], ids=["verify-k3", "stratify-point", "hn-point"])
+    (K2_3233, ["moduli-poly", "{problem}"],
+     "total dimension 65 exceeds the type budget 64"),
+], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2"])
 def test_budgets_fail_before_the_long_work(tmp_path, text, command,
                                            expected):
-    # the semistable recursion of K3 (12,13) runs for more than a minute,
-    # and the exact subspace count of GF(2)^3000 has 2,250,003 bits
+    # listing the 23,410 HN types of K3 (12,13) alone takes over 6 s, the
+    # semistable recursion of K2 (32,33) multiplies polynomials of degree
+    # up to 2,112, and the exact subspace count of GF(2)^3000 has
+    # 2,250,003 bits
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"
     rep.write_text("", encoding="utf-8")
     argv = [a.format(problem=problem, rep=rep) for a in command]
-    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
-                          capture_output=True, text=True, timeout=5)
+    done = _run_cli(argv, timeout=5)
     assert done.returncode == 3, done.stderr
     assert expected in done.stderr
 
@@ -438,9 +456,7 @@ def test_point_budget_is_checked_before_the_point_count(tmp_path, command):
     problem = tmp_path / "huge.problem"
     problem.write_text(HUGE_ARROW, encoding="utf-8")
     argv = [a.format(problem=problem) for a in command]
-    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
-                          capture_output=True, text=True, timeout=5,
-                          preexec_fn=_limit_address_space)
+    done = _run_cli(argv, timeout=5, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert ("2^10000000000 representations exceed the budget 16777216"
             in done.stderr)
@@ -470,8 +486,7 @@ def test_large_field_sizes_fail_at_once(tmp_path, q, command, code,
     rep = tmp_path / "k2.rep"
     rep.write_text("0\n0\n", encoding="utf-8")
     argv = [a.format(problem=problem, rep=rep) for a in command]
-    done = subprocess.run([sys.executable, "-m", "quivercount.cli", *argv],
-                          capture_output=True, text=True, timeout=5)
+    done = _run_cli(argv, timeout=5)
     assert done.returncode == code, done.stderr
     assert expected in done.stderr
 

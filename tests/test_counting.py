@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from quivercount import (CoprimalityError, CountPolynomial, HNType, Quiver,
-                         classify_representations, coprime_witness,
-                         enumerate_hn_types, enumerate_reps, fiber_exponent,
-                         field_table, flag_count_poly, gl_order,
-                         group_order_poly, is_coprime, kronecker,
+                         TheoremViolation, classify_representations,
+                         coprime_witness, enumerate_hn_types, enumerate_reps,
+                         fiber_exponent, field_table, flag_count_poly,
+                         gl_order, group_order_poly, is_coprime, kronecker,
                          moduli_count_poly, nonzero_subvectors,
                          parabolic_order_poly, rep_count_poly, rep_space_dim,
                          semistable_count_poly, semistable_count_polys, slope,
                          stratum_count_poly, stratum_formula,
                          torsor_orbit_count, trivial_type)
+from quivercount.counting import moduli_poly_from_semistable
 
 from conftest import a2_quiver
 
@@ -229,6 +230,18 @@ def test_moduli_requires_coprime():
         moduli_count_poly(kronecker(2), (2, 2), THETA)
     with pytest.raises(CoprimalityError):
         torsor_orbit_count(kronecker(2), (2, 2), THETA, field_table(2))
+
+
+def test_negative_moduli_coefficient_is_a_theorem_violation():
+    # subtracting q^k * |PG| from |R^ss| subtracts q^k from the moduli
+    # polynomial and keeps every division exact
+    dims = (2, 3)
+    ss = semistable_count_poly(kronecker(3), dims, THETA)
+    poly = moduli_poly_from_semistable(dims, THETA, ss)
+    pg = group_order_poly(dims).div_exact(Q - 1)
+    wrong = ss - CountPolynomial.monomial(poly.degree + 1) * pg
+    with pytest.raises(TheoremViolation, match="negative coefficient"):
+        moduli_poly_from_semistable(dims, THETA, wrong)
 
 
 def test_torsor_orbit_counts():

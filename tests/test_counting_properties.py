@@ -1,11 +1,13 @@
-"""Property tests of the flag factor against its definition.
+"""Property tests of the flag factor and the semistable recursion.
 
-Random small quivers, dimension vectors of total dimension at most 7 and
-characters.  The flag factor of every HN type, a product of cached
-per-vertex Gaussian multinomials, must equal the group order divided by
-the parabolic order, and every multinomial must count flags at
-q = 2..5.  The runs are derandomized and keep no example database, so
-they repeat exactly.
+Random small quivers, loops and 2-cycles included, dimension vectors of
+total dimension at most 7 and characters.  The flag factor of every HN
+type, a product of cached per-vertex Gaussian multinomials, must equal
+the group order divided by the parabolic order, and every multinomial
+must count flags at q = 2..5.  The stratum polynomials of all HN types,
+built from the semistable counts the two-step recursion returns, must
+sum to the point count of the whole space.  The runs are derandomized
+and keep no example database, so they repeat exactly.
 """
 
 import tempfile
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quivercount import (Quiver, enumerate_hn_types, flag_count_poly,
-                         gl_order, group_order_poly, parabolic_order_poly)
+from quivercount import (CountPolynomial, Quiver, enumerate_hn_types,
+                         flag_count_poly, gl_order, group_order_poly,
+                         parabolic_order_poly, rep_count_poly,
+                         semistable_count_polys, stratum_count_poly)
 from quivercount.counting import gaussian_multinomial
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
@@ -64,3 +68,15 @@ def test_flag_factor_is_group_order_over_parabolic_order(problem):
             assert all(type(c) is int for c in poly.coeffs)
             for q in range(2, 6):
                 assert poly(q) == flag_count(n, parts, q)
+
+
+@DETERMINISTIC
+@given(problems())
+def test_strata_from_the_recursion_sum_to_the_whole_space(problem):
+    # the identity the recursion rests on, read type by type: the
+    # returned counts hold every piece of every type
+    quiver, dims, theta = problem
+    ss = semistable_count_polys(quiver, dims, theta)
+    strata = (stratum_count_poly(quiver, beta, ss)
+              for beta in enumerate_hn_types(quiver, dims, theta))
+    assert sum(strata, CountPolynomial.zero()) == rep_count_poly(quiver, dims)
