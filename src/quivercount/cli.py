@@ -35,7 +35,7 @@ from .counting import (coprime_witness, moduli_count_poly,
                        torsor_orbit_count)
 from .errors import (ProblemParseError, QuiverCountError,
                      TheoremViolation)
-from .ffield import field_table, prime_power
+from .ffield import PRIME_POWER_LIMIT, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
@@ -98,6 +98,8 @@ def parse_problem(text):
         elif key == "q":
             values = _ints(args, None, lineno)
             for v in values:
+                if v >= PRIME_POWER_LIMIT:
+                    continue  # over every field cap, left to make_field
                 try:
                     prime_power(v)
                 except ValueError as exc:

@@ -12,22 +12,23 @@ Two independent routes compute the stratum table:
   mixing block, quotient block), in the restriction and quotient
   coordinates of the catalog records' coords tables (see the rep module
   docstring).  Per arrow a block table lists the preserving matrices
-  with their restriction and quotient blocks; scaled by the strides of
-  the space, the subspace and the quotient, the product of these lists
-  is one stream of (index, restriction, quotient) triples.  The scan
-  handles each point the moment the stream reaches it.  A point's type
-  id is 0 while it is free.  A type's first piece fixes its group, so
-  the ids a group interns exceed every earlier group's, and an id at
-  least the group's first id is a second hit inside the claiming group,
-  which breaks uniqueness.  On the first hit the restriction must be
-  semistable and the type is read off the quotient's table, so a
-  preserved point costs a few additions and lookups instead of a
-  subspace search.  This is what makes million-point spaces affordable.
+  with their restriction and quotient blocks, scaled by strides to
+  (index, restriction, quotient) triples.  Points come in rows: a row
+  fixes every arrow but arrow 0, whose stride is 1, and its points are
+  its offsets plus each triple of arrow 0's list, a loop the scan runs
+  inline.  A point's type id is 0 while it is free.  A type's first
+  piece fixes its group, so the ids a group interns exceed every earlier
+  group's, and an id at least the group's first id is a second hit
+  inside the claiming group, which breaks uniqueness.  On the first hit
+  the restriction must be semistable and the type is read off the
+  quotient's table, so a preserved point costs a few additions and
+  lookups instead of a subspace search.  This is what makes
+  million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
-suite.  The same triple stream counts, for every point, all
-filtrations with semistable subquotients and strictly decreasing
-slopes (the uniqueness oracle for the filtration procedure).
+suite.  The same rows count, for every point, all filtrations with
+semistable subquotients and strictly decreasing slopes (the uniqueness
+oracle for the filtration procedure).
 """
 
 from array import array
@@ -36,12 +37,14 @@ from collections import Counter
 from functools import partial
 from itertools import product
 
-from .errors import TheoremViolation
+from .errors import BudgetExceeded, TheoremViolation
 from .linalg import decode_vector, encode_matrix
 from .quiver import nonzero_subvectors, slope, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   check_rep_budget, check_tuple_budget, subspace_catalog)
 from .strata import HNType, trivial_type
+
+MAX_TYPE_ID = 2**15 - 1  # the largest id that type_ids, an array("h"), holds
 
 
 class BlockTable:
@@ -167,35 +170,29 @@ class ScanClassifier:
                           for a, w in pairs])
         return lists
 
-    def preserved(self, dims, e):
-        """The (index, restriction, quotient) triple of every point of the
-        space of dims, once for each subspace tuple of dimension vector
-        e that the point preserves.
+    def rows(self, dims, e):
+        """The points of the space of dims preserving a subspace tuple of
+        dimension vector e, once per tuple, as rows (i0, u0, w0, last).
 
-        The product over the arrows is not recursive: itertools.product
-        runs over all but the two innermost lists, which are nested
-        loops.  An arrowless quiver has one point, the empty sum.
+        A row fixes every arrow but arrow 0, whose stride is 1: its points
+        are the (index, restriction, quotient) triples (i0 + i, u0 + u,
+        w0 + w) for (i, u, w) in ``last``, arrow 0's triple list, a loop
+        the caller runs.  An arrowless quiver has one point, the empty sum.
         """
         per_vertex = []
         for n, k in zip(dims, e):
             catalog = subspace_catalog(self.field, n)
             per_vertex.append(range(bisect_left(catalog, k, key=_DIM),
                                     bisect_right(catalog, k, key=_DIM)))
-        pad = [[(0, 0, 0)]] * (2 - len(self.quiver.arrows))
         for ords in product(*per_vertex):
-            *outer, inner, last = pad + self.triples(dims, e, ords)
+            last, *outer = self.triples(dims, e, ords) or [[(0, 0, 0)]]
             for combo in product(*outer):
                 i0 = u0 = w0 = 0
                 for i, u, w in combo:
                     i0 += i
                     u0 += u
                     w0 += w
-                for i1, u1, w1 in inner:
-                    i1 += i0
-                    u1 += u0
-                    w1 += w0
-                    for i2, u2, w2 in last:
-                        yield i1 + i2, u1 + u2, w1 + w2
+                yield i0, u0, w0, last
 
     def table(self, dims):
         dims = tuple(dims)
@@ -230,30 +227,37 @@ class ScanClassifier:
                 quot = self.table(quot_dims)
                 quot_ids = quot.type_ids
                 lift = [None] * len(quot.types)
-                for idx, u, w in self.preserved(dims, e):
-                    claimed = type_ids[idx]
-                    if claimed:
-                        if claimed >= first:
+                for i0, u0, w0, last in self.rows(dims, e):
+                    for i, u, w in last:
+                        idx = i0 + i
+                        claimed = type_ids[idx]
+                        if claimed:
+                            if claimed >= first:
+                                raise TheoremViolation(
+                                    "non-unique maximal destabilizing "
+                                    f"subrepresentation at index {idx} of {dims}")
+                            continue
+                        if sub_ids[u0 + u]:
                             raise TheoremViolation(
-                                "non-unique maximal destabilizing "
-                                f"subrepresentation at index {idx} of {dims}")
-                        continue
-                    if sub_ids[u] != 0:
-                        raise TheoremViolation(
-                            "extracted maximal destabilizing piece is not "
-                            f"semistable at index {idx} of {dims}")
-                    qt = quot_ids[w]
-                    tid = lift[qt]
-                    if tid is None:
-                        pieces = (e,) + quot.types[qt].pieces
-                        tid = type_index.get(pieces)
+                                "extracted maximal destabilizing piece is not "
+                                f"semistable at index {idx} of {dims}")
+                        qt = quot_ids[w0 + w]
+                        tid = lift[qt]
                         if tid is None:
-                            tid = type_index[pieces] = len(types)
-                            types.append(HNType(theta, pieces))
-                            counts.append(0)
-                        lift[qt] = tid
-                    type_ids[idx] = tid
-                    counts[tid] += 1
+                            pieces = (e,) + quot.types[qt].pieces
+                            tid = type_index.get(pieces)
+                            if tid is None:
+                                tid = len(types)
+                                if tid > MAX_TYPE_ID:
+                                    raise BudgetExceeded(
+                                        f"more than {MAX_TYPE_ID + 1} types "
+                                        f"in the space of {dims}")
+                                type_index[pieces] = tid
+                                types.append(HNType(theta, pieces))
+                                counts.append(0)
+                            lift[qt] = tid
+                        type_ids[idx] = tid
+                        counts[tid] += 1
 
         counts[0] = N - sum(counts)
         result = SpaceTable(dims, types, type_ids,
@@ -363,9 +367,10 @@ class FiltrationCounter:
             ss_ids = cls.table(e).type_ids
             if out is None:
                 out = [0] * RepSpace(cls.quiver, dims, cls.field).point_count
-            for idx, u, w in cls.preserved(dims, e):
-                if ss_ids[u] == 0:
-                    out[idx] += child[w]
+            for i0, u0, w0, last in cls.rows(dims, e):
+                for i, u, w in last:
+                    if ss_ids[u0 + u] == 0:
+                        out[i0 + i] += child[w0 + w]
         if out is not None and not any(out):
             out = None
         self.memo[key] = out

@@ -12,7 +12,6 @@ can index them freely in inner loops.
 """
 
 from dataclasses import dataclass
-from math import isqrt
 
 DEFAULT_MAX_Q = 16
 
@@ -26,18 +25,63 @@ class PrimePower:
     q: int
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 2017)
+PRIME_POWER_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 2 <= n < PRIME_POWER_LIMIT."""
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, k):
+    """The integer part of the k-th root of n >= 1, by Newton's method
+    from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q):
-    """Factor q as p^e, or raise ValueError if q is not a prime power."""
+    """Factor q as p^e, or raise ValueError if q is not a prime power
+    below PRIME_POWER_LIMIT.
+
+    No trial division: q = p^e exactly when the integer e-th root of q
+    is a prime whose e-th power is q.
+    """
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"not a prime power: {q!r}")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    e, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise ValueError(f"not a prime power: {q}")
-    return PrimePower(p, e, q)
+    if q >= PRIME_POWER_LIMIT:
+        raise ValueError(f"q={q} is too large to factor")
+    for e in range(1, q.bit_length()):
+        p = _iroot(q, e)
+        if p < 2:
+            break
+        if p**e == q and _is_prime(p):
+            return PrimePower(p, e, q)
+    raise ValueError(f"not a prime power: {q}")
 
 
 def _digits(i, p, e):

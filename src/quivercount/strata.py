@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .quiver import (nonzero_subvectors, rep_space_dim, slope, theta_of,
-                     total_dim)
+from .quiver import (nonzero_subvectors, rep_space_dim, slope, slope_ranks,
+                     theta_of, total_dim)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 
 DEFAULT_MAX_TYPE_DIM = 64
@@ -141,20 +141,22 @@ def enumerate_hn_types(quiver, dims, theta):
     dims = tuple(int(d) for d in dims)
     theta = tuple(int(t) for t in theta)
     check_type_budget(dims)
+    rank = slope_ranks(theta, dims)  # every piece is a subvector of dims
 
     def rest(remaining, bound):
         if total_dim(remaining) == 0:
             yield ()
             return
         for piece in nonzero_subvectors(remaining):
-            mu = slope(theta, piece)
-            if bound is not None and mu >= bound:
+            mu = rank[piece]
+            if mu >= bound:
                 continue
             tail_remaining = tuple(r - p for r, p in zip(remaining, piece))
             for tail in rest(tail_remaining, mu):
                 yield (piece,) + tail
 
-    types = [HNType(theta, pieces) for pieces in rest(dims, None)]
+    # every rank is below len(rank), so that bound admits every first piece
+    types = [HNType(theta, pieces) for pieces in rest(dims, len(rank))]
     types.sort(key=HNType.sort_key)
     return types
 

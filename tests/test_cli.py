@@ -476,11 +476,19 @@ K2_WITH_Q = "vertices 2\narrow 0 1\narrow 0 1\ndim 1 1\ntheta 1 0\nq {q}\n"
      "q=1000000007 exceeds the configured maximum 16"),
     (1000000006, ["verify", "{problem}"], 2,
      "line 6: not a prime power: 1000000006"),
+    (2**61 - 1, ["verify", "{problem}"], 1,
+     f"q={2**61 - 1} exceeds the configured maximum 16"),
+    (2**61 - 2, ["verify", "{problem}"], 2,
+     f"line 6: not a prime power: {2**61 - 2}"),
+    (10**30 + 1, ["verify", "{problem}"], 1,
+     f"q={10**30 + 1} exceeds the configured maximum 16"),
 ], ids=["stratify", "hn", "count-reps-brute", "verify-q-line",
-        "q-line-not-prime-power"])
+        "q-line-not-prime-power", "q-line-mersenne-61",
+        "q-line-mersenne-61-minus-1", "q-line-past-the-exact-range"])
 def test_large_field_sizes_fail_at_once(tmp_path, q, command, code,
                                         expected):
-    # factoring q by trial division up to q itself took over 20 s here
+    # within the timeout, so no q is factored by trial division (up to
+    # its square root, 2^61 - 1 would take hours)
     problem = tmp_path / "k2.problem"
     problem.write_text(K2_WITH_Q.format(q=q), encoding="utf-8")
     rep = tmp_path / "k2.rep"
@@ -489,6 +497,15 @@ def test_large_field_sizes_fail_at_once(tmp_path, q, command, code,
     done = _run_cli(argv, timeout=5)
     assert done.returncode == code, done.stderr
     assert expected in done.stderr
+
+
+def test_type_ids_past_the_array_cap_exit_3(k2_22_file, monkeypatch,
+                                            capsys):
+    import quivercount.exhaustive as exhaustive
+
+    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", 1)
+    assert main(["stratify", k2_22_file, "--q", "2"]) == 3
+    assert "more than 2 types in the space of" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from quivercount import make_field, prime_power
-from quivercount.ffield import PrimePower
+from quivercount.ffield import PRIME_POWER_LIMIT, PrimePower
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -70,12 +70,48 @@ def test_deterministic():
         assert make_field(q) == make_field(q)
 
 
+def _trial_division(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    return PrimePower(p, e, q) if rest == 1 else None
+
+
 def test_prime_power_factoring():
     assert prime_power(8) == PrimePower(2, 3, 8)
     assert prime_power(9) == PrimePower(3, 2, 9)
     for bad in (0, 1, 6, 10, 12, 15):
         with pytest.raises(ValueError):
             prime_power(bad)
+    for q in range(2, 5000):
+        try:
+            found = prime_power(q)
+        except ValueError:
+            found = None
+        assert found == _trial_division(q), q
+
+
+@pytest.mark.parametrize("q,expected", [
+    (2**61 - 1, PrimePower(2**61 - 1, 1, 2**61 - 1)),
+    ((2**31 - 1)**2, PrimePower(2**31 - 1, 2, (2**31 - 1)**2)),
+    (3**40, PrimePower(3, 40, 3**40)),
+    (2**81, PrimePower(2, 81, 2**81)),
+    # a Carmichael number, then strong pseudoprimes to the bases 2, 3, 5,
+    # 7 and to every prime base up to 37
+    (561, "not a prime power"),
+    (3215031751, "not a prime power"),
+    (318665857834031151167461, "not a prime power"),
+    (2**61 - 2, "not a prime power"),
+    (PRIME_POWER_LIMIT, "too large to factor"),
+])
+def test_prime_power_on_large_values(q, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            prime_power(q)
+    else:
+        assert prime_power(q) == expected
 
 
 def test_maximum_enforced():

@@ -1,5 +1,5 @@
 """Property tests of the subspace and subrepresentation layer and of the
-scan against the definitions.
+scan, its rows of preserving points included, against the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -8,6 +8,7 @@ keep no example database, so they repeat exactly.
 """
 
 import tempfile
+from collections import Counter
 from itertools import product
 
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,7 @@ from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          SubspaceTuple, count_hn_filtrations, enumerate_subreps,
                          enumerate_subspaces, field_table, hn_filtration,
                          is_semistable, is_stable, is_subrep,
-                         maximal_destabilizing, slope)
+                         maximal_destabilizing, quotient_rep, slope, sub_rep)
 from quivercount.linalg import decode_vector, encode_vector
 from quivercount.rep import subspace_catalog
 
@@ -146,6 +147,37 @@ def test_scan_types_match_the_procedure_at_every_point(case):
     assert sum(table.counts.values()) == space.point_count
     counts = count_hn_filtrations(quiver, dims, theta, field)
     assert counts == [1] * space.point_count
+
+
+@DETERMINISTIC
+@given(spaces())
+@example(_space((), (2, 1), 3, (1, 0)))                        # no arrow
+@example(_space(((0, 1), (0, 1)), (1, 2), 3, (1, 0)))          # parallel arrows
+@example(_space(((0, 1), (0, 0), (1, 0)), (2, 1), 2, (1, 0)))  # loop, 2-cycle
+def test_scan_rows_are_the_preserving_points(case):
+    # per dimension vector e, the rows' (index, restriction, quotient)
+    # triples are those of the pairs (M, S), S of dimension vector e,
+    # that is_subrep accepts, each once
+    space, theta = case
+    dims, field = space.dims, space.field
+    classifier = ScanClassifier(space.quiver, theta, field)
+    per_vertex = [
+        [basis for k in range(n + 1)
+         for basis in enumerate_subspaces(n, k, field)]
+        for n in dims]
+    expected = {}
+    for bases in product(*per_vertex):
+        S = SubspaceTuple(dims, bases)
+        found = expected.setdefault(S.dims, Counter())
+        for idx in range(space.point_count):
+            M = space.rep(idx)
+            if is_subrep(M, S):
+                found[idx, sub_rep(M, S).index, quotient_rep(M, S).index] += 1
+    for e, points in expected.items():
+        rows = Counter((i0 + i, u0 + u, w0 + w)
+                       for i0, u0, w0, last in classifier.rows(dims, e)
+                       for i, u, w in last)
+        assert rows == points
 
 
 @st.composite

@@ -1,17 +1,18 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from quivercount import (HNPolygon, HNType, Quiver, RepSpace, SubspaceTuple,
-                         classify_direct, classify_representations,
-                         classify_scan, closure_consistency,
-                         count_hn_filtrations, dominates,
+from quivercount import (BudgetExceeded, HNPolygon, HNType, Quiver, RepSpace,
+                         SubspaceTuple, TheoremViolation, classify_direct,
+                         classify_representations, classify_scan,
+                         closure_consistency, count_hn_filtrations, dominates,
                          enumerate_hn_types, enumerate_reps, field_table,
                          hn_filtration, is_subrep, kronecker,
                          nonzero_subvectors, polygon, quotient_rep, slope,
                          sub_rep, trivial_type)
-from quivercount.exhaustive import ScanClassifier
+from quivercount.exhaustive import ScanClassifier, SpaceTable
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
 
@@ -53,8 +54,6 @@ def test_enumerate_types_zero_character():
 
 
 def test_enumerate_types_budget():
-    from quivercount import BudgetExceeded
-
     with pytest.raises(BudgetExceeded):
         enumerate_hn_types(kronecker(2), (32, 33), THETA)
 
@@ -216,6 +215,50 @@ def test_scan_classifier_handles_sub_dimensions(f2):
     table = cls.table((2, 3))
     assert sum(table.counts.values()) == 4096
     assert (1, 3) in cls.tables  # quotient space computed along the way
+
+
+class _RowsTwice(ScanClassifier):
+    """A scan whose every row of preserving points comes twice."""
+
+    def rows(self, dims, e):
+        for row in super().rows(dims, e):
+            yield row
+            yield row
+
+
+def test_scan_rejects_a_point_claimed_twice_in_one_group(f2):
+    # (1, 0) preserves only the zero point of K2 (1, 1); met twice, it
+    # has two maximal destabilizing subrepresentations
+    cls = _RowsTwice(kronecker(2), THETA, f2)
+    with pytest.raises(TheoremViolation,
+                       match=r"non-unique maximal destabilizing "
+                             r"subrepresentation at index 0 of \(1, 1\)"):
+        cls.table((1, 1))
+
+
+def test_scan_rejects_an_unstable_restriction(f2):
+    # a sub-table that calls its only point unstable
+    cls = ScanClassifier(kronecker(2), THETA, f2)
+    cls.tables[(1, 0)] = SpaceTable((1, 0), [trivial_type(THETA, (1, 0))],
+                                    array("h", [1]), {})
+    with pytest.raises(TheoremViolation,
+                       match=r"extracted maximal destabilizing piece is not "
+                             r"semistable at index 0 of \(1, 1\)"):
+        cls.table((1, 1))
+
+
+def test_type_ids_past_the_array_cap_exceed_the_budget(f2, monkeypatch):
+    import quivercount.exhaustive as exhaustive
+
+    # a cap at the largest id any table needs passes, one below it raises
+    cls = ScanClassifier(kronecker(2), THETA, f2)
+    cls.table((2, 3))
+    top = max(len(table.types) for table in cls.tables.values()) - 1
+    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", top)
+    ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
+    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", top - 1)
+    with pytest.raises(BudgetExceeded, match=f"more than {top} types"):
+        ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
 
 
 # ---------------------------------------------------------------------------
