@@ -15,9 +15,9 @@ from .ffield import FieldTable, PrimePower, field_table, make_field, prime_power
 from .polynomial import CountPolynomial, InexactDivisionError
 from .purity import (CountSamples, PurityReport, interpolate_poly,
                      strong_purity_check, weak_purity_periodic_fit)
-from .quiver import (Quiver, character_exponents, gl_order, gl_order_poly,
-                     group_order_poly, kronecker, nonzero_subvectors,
-                     pg_order, rep_space_dim, slope, theta_of, total_dim)
+from .quiver import (Quiver, gl_order, gl_order_poly, group_order_poly,
+                     kronecker, nonzero_subvectors, pg_order, rep_space_dim,
+                     slope, theta_of, total_dim)
 from .rep import (Filtration, RepSpace, Representation, SubspaceTuple,
                   associated_graded, enumerate_reps, enumerate_subreps,
                   enumerate_subspaces, is_subrep, pullback, quotient_rep,
@@ -25,8 +25,7 @@ from .rep import (Filtration, RepSpace, Representation, SubspaceTuple,
 from .stability import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                         StabilityVerdict, hn_filtration, is_semistable,
                         is_stable, maximal_destabilizing)
-from .strata import (ClosureReport, HNPolygon, HNType, StratumTable,
-                     classify_representations, closure_consistency, dominates,
-                     enumerate_hn_types, polygon, trivial_type)
+from .strata import (HNType, StratumTable, classify_representations,
+                     enumerate_hn_types, trivial_type)
 
 __version__ = "0.1.0"

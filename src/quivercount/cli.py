@@ -33,7 +33,7 @@ from .counting import (coprime_witness, moduli_count_poly,
                        moduli_poly_from_semistable, rep_count_poly,
                        semistable_count_polys, stratum_count_poly,
                        torsor_orbit_count)
-from .errors import (ProblemParseError, QuiverCountError,
+from .errors import (BudgetExceeded, ProblemParseError, QuiverCountError,
                      TheoremViolation)
 from .ffield import PRIME_POWER_LIMIT, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
@@ -231,12 +231,19 @@ def _load_problem(args):
 # subcommands
 
 
+MAX_PRINTED_DEGREE = 2**20  # count-reps prints every coefficient of q^dimension
+
+
 def _cmd_count_reps(args):
     problem = _load_problem(args)
     if args.brute is not None:  # its budget fails before the polynomial is built
         field = field_table(args.brute)
         count = sum(1 for _ in enumerate_reps(
             problem.quiver, problem.dims, field, max_reps=problem.max_reps))
+    degree = rep_space_dim(problem.quiver, problem.dims)
+    if degree > MAX_PRINTED_DEGREE:
+        raise BudgetExceeded(f"q^{degree} exceeds the printed degree "
+                             f"budget {MAX_PRINTED_DEGREE}")
     poly = rep_count_poly(problem.quiver, problem.dims)
     lines = [f"rep-count-poly: {poly.pretty()}", f"coeffs: {poly.coeff_line()}"]
     obj = {"command": "count-reps", "poly": _poly_json(poly)}
@@ -280,14 +287,20 @@ def _cmd_hn(args):
     return 0
 
 
-def _stratum_polys(problem):
+def _stratum_polys(problem, qs):
     """The stratum polynomial of every HN type of the problem, as (type,
     polynomial) pairs, and the semistable polynomials they are built
-    from; one recursion per problem."""
+    from; one recursion per problem.  The point and tuple budgets of
+    every field in qs, then the type-count budget, fail before it."""
     quiver, dims, theta = problem.quiver, problem.dims, problem.theta
+    for q in qs:
+        check_rep_budget(RepSpace(quiver, dims, field_table(q)),
+                         problem.max_reps)
+        check_tuple_budget(dims, q, problem.max_tuples)
+    types = enumerate_hn_types(quiver, dims, theta)
     ss = semistable_count_polys(quiver, dims, theta)
     return [(beta, stratum_count_poly(quiver, beta, ss))
-            for beta in enumerate_hn_types(quiver, dims, theta)], ss
+            for beta in types], ss
 
 
 def _check_strata(table, polys):
@@ -308,13 +321,13 @@ def _check_strata(table, polys):
 def _cmd_stratify(args):
     problem = _load_problem(args)
     field = field_table(args.q)
+    polys, _ = _stratum_polys(problem, [args.q])
     # worker processes exist only on the point-by-point route
     workers = args.threads if args.engine == "direct" else 1
     table = classify_representations(
         problem.quiver, problem.dims, problem.theta, field,
         engine=args.engine, workers=workers,
         max_reps=problem.max_reps, max_tuples=problem.max_tuples)
-    polys, _ = _stratum_polys(problem)
     _check_strata(table, polys)
     lines = [f"stratum table (q={args.q}):"]
     lines += ["  " + line for line in table.serialize_lines()]
@@ -360,11 +373,7 @@ def _cmd_verify(args):
         lines.append(f"q={q}: {name} ok ({detail})")
         checks.append({"q": q, "check": name, "detail": detail})
 
-    for q in qs:  # every budget fails before the semistable recursion
-        check_rep_budget(RepSpace(quiver, dims, field_table(q)),
-                         problem.max_reps)
-        check_tuple_budget(dims, q, problem.max_tuples)
-    polys, ss_polys = _stratum_polys(problem)
+    polys, ss_polys = _stratum_polys(problem, qs)
     witness = coprime_witness(dims, theta)
     moduli = (moduli_poly_from_semistable(dims, theta, ss_polys[dims])
               if witness is None else None)

@@ -42,9 +42,9 @@ from .linalg import decode_vector, encode_matrix
 from .quiver import nonzero_subvectors, slope, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   check_rep_budget, check_tuple_budget, subspace_catalog)
-from .strata import HNType, trivial_type
+from .strata import MAX_TYPES, HNType, trivial_type
 
-MAX_TYPE_ID = 2**15 - 1  # the largest id that type_ids, an array("h"), holds
+MAX_TYPE_ID = MAX_TYPES - 1  # the largest id that type_ids, an array("h"), holds
 
 
 class BlockTable:

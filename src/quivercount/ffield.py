@@ -13,7 +13,7 @@ can index them freely in inner loops.
 
 from dataclasses import dataclass
 
-DEFAULT_MAX_Q = 16
+MAX_Q = 16
 
 
 @dataclass(frozen=True)
@@ -217,16 +217,16 @@ def _verify_axioms(t):
             raise AssertionError("multiplicative inverse failed")
 
 
-def make_field(q, maximum=DEFAULT_MAX_Q):
-    """Build the lookup tables for GF(q), q = p^e <= maximum.
+def make_field(q):
+    """Build the lookup tables for GF(q), q = p^e <= MAX_Q.
 
     Deterministic: for e > 1 the defining polynomial is the monic
     irreducible of degree e whose non-leading coefficient vector is
     least in the base-p integer encoding.
     """
     size = q.q if isinstance(q, PrimePower) else q
-    if isinstance(size, int) and size > maximum:  # before factoring q
-        raise ValueError(f"q={size} exceeds the configured maximum {maximum}")
+    if isinstance(size, int) and size > MAX_Q:  # before factoring q
+        raise ValueError(f"q={size} exceeds the configured maximum {MAX_Q}")
     pp = q if isinstance(q, PrimePower) else prime_power(q)
     p, e, n = pp.p, pp.e, pp.q
     if e == 1:

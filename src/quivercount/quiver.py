@@ -89,18 +89,6 @@ def slope_ranks(theta, dims):
     return {e: rank[mu] for e, mu in zip(subs, mus)}
 
 
-def character_exponents(theta, dims):
-    """Exponent vector (m_i) of the determinant character attached to theta.
-
-    m_i = theta(d) - dim(d) * theta_i; the m_i satisfy sum_i m_i d_i = 0,
-    which is what makes the character well defined on the quotient of the
-    base-change group by its central torus.
-    """
-    td = theta_of(theta, dims)
-    dim = total_dim(dims)
-    return tuple(td - dim * t for t in theta)
-
-
 def rep_space_dim(quiver, dims):
     """Affine dimension of the space of matrix tuples: sum of d_i * d_j."""
     return sum(dims[i] * dims[j] for (i, j) in quiver.arrows)

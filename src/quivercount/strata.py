@@ -1,4 +1,4 @@
-"""Instability types, their polygons and dominance order, and the
+"""Instability types, their listing under the type budgets, and the
 classification of a whole representation space into strata.
 
 An instability type records the dimension vectors of the semistable
@@ -8,14 +8,15 @@ the stability data.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExceeded
 from .quiver import (nonzero_subvectors, rep_space_dim, slope, slope_ranks,
-                     theta_of, total_dim)
+                     total_dim)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 
 DEFAULT_MAX_TYPE_DIM = 64
+MAX_TYPES = 2**15  # as many ids as the scan's array("h") of type ids holds
 
 
 @dataclass(frozen=True)
@@ -68,59 +69,6 @@ def trivial_type(theta, dims):
     return HNType(tuple(theta), (tuple(dims),))
 
 
-@dataclass(frozen=True)
-class HNPolygon:
-    """Lattice path of the partial sums (total dimension, theta value)."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(
-            (int(x), int(y)) for (x, y) in self.vertices))
-        if self.vertices[0] != (0, 0):
-            raise ValueError("polygon must start at the origin")
-        xs = [x for x, _ in self.vertices]
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("x coordinates must strictly increase")
-
-    def height_at(self, x):
-        """Piecewise-linear height of the path at x (exact)."""
-        verts = self.vertices
-        if not verts[0][0] <= x <= verts[-1][0]:
-            raise ValueError("x outside the polygon range")
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= x <= x1:
-                return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
-        raise AssertionError("unreachable")
-
-
-def polygon(beta):
-    """The polygon of a type: the origin followed by the running sums of
-    (dim(d^k), theta(d^k))."""
-    verts = [(0, 0)]
-    x = y = 0
-    for piece in beta.pieces:
-        x += total_dim(piece)
-        y += theta_of(beta.theta, piece)
-        verts.append((x, y))
-    return HNPolygon(tuple(verts))
-
-
-def dominates(gamma, beta):
-    """Whether the polygon of gamma lies on or above the polygon of beta
-    at every point.
-
-    By piecewise linearity it suffices to compare at the union of the
-    vertex x-coordinates.  Reflexive; both types must decompose the
-    same dimension vector for the same character.
-    """
-    if gamma.theta != beta.theta or gamma.ambient != beta.ambient:
-        raise ValueError("types do not share ambient data")
-    pg, pb = polygon(gamma), polygon(beta)
-    xs = sorted({x for x, _ in pg.vertices} | {x for x, _ in pb.vertices})
-    return all(pg.height_at(x) >= pb.height_at(x) for x in xs)
-
-
 def check_type_budget(dims):
     """Reject the zero vector, which has no types, and a total dimension
     beyond the type budget (exit 3) before any recursion over types."""
@@ -136,7 +84,8 @@ def enumerate_hn_types(quiver, dims, theta):
     pieces with strictly decreasing slopes, the trivial type included.
 
     Sorted by (number of pieces, pieces lexicographically), so the
-    trivial type always comes first.
+    trivial type always comes first.  Past MAX_TYPES types the listing
+    stops with BudgetExceeded.
     """
     dims = tuple(int(d) for d in dims)
     theta = tuple(int(t) for t in theta)
@@ -156,7 +105,11 @@ def enumerate_hn_types(quiver, dims, theta):
                 yield (piece,) + tail
 
     # every rank is below len(rank), so that bound admits every first piece
-    types = [HNType(theta, pieces) for pieces in rest(dims, len(rank))]
+    found = list(islice(rest(dims, len(rank)), MAX_TYPES + 1))
+    if len(found) > MAX_TYPES:
+        raise BudgetExceeded(f"more than {MAX_TYPES} HN types of {dims} "
+                             f"exceed the type-count budget")
+    types = [HNType(theta, pieces) for pieces in found]
     types.sort(key=HNType.sort_key)
     return types
 
@@ -212,48 +165,3 @@ def classify_representations(quiver, dims, theta, field, engine="scan",
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return StratumTable(quiver, tuple(dims), tuple(theta), field.q, dict(counts))
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Dominance order among all admissible types, with counts attached.
-
-    ``edges`` lists every strictly dominating pair (above, below).  A
-    flag records a nonempty stratum together with a type it dominates
-    whose stratum is empty; this is diagnostic only, since closure
-    itself is not decidable from point counts.
-    """
-
-    types: tuple
-    counts: tuple
-    edges: tuple
-    flags: tuple
-
-    def format_lines(self):
-        lines = []
-        for beta, count in zip(self.types, self.counts):
-            lines.append(f"type {beta.key_str()} count {count}")
-        for above, below in self.edges:
-            lines.append(f"dominates {above.key_str()} > {below.key_str()}")
-        for above, below in self.flags:
-            lines.append(
-                f"flag {above.key_str()} (nonempty) dominates empty {below.key_str()}")
-        return lines
-
-
-def closure_consistency(table):
-    """Dominance DAG over the admissible types of the table's space,
-    flagging nonempty strata that dominate empty ones."""
-    types = enumerate_hn_types(table.quiver, table.dims, table.theta)
-    counts = tuple(table.counts.get(beta, 0) for beta in types)
-    edges = []
-    flags = []
-    for i, gamma in enumerate(types):
-        for j, beta in enumerate(types):
-            if i == j:
-                continue
-            if dominates(gamma, beta):
-                edges.append((gamma, beta))
-                if counts[i] > 0 and counts[j] == 0:
-                    flags.append((gamma, beta))
-    return ClosureReport(tuple(types), counts, tuple(edges), tuple(flags))

@@ -413,6 +413,10 @@ def test_subspace_budget_is_checked_before_any_catalog(tmp_path, command):
 K3_1213 = "vertices 2\n" + "arrow 0 1\n" * 3 + "dim 12 13\ntheta 1 0\n"
 POINT_3000 = "vertices 1\ndim 3000\ntheta 0\n"
 K2_3233 = "vertices 2\n" + "arrow 0 1\n" * 2 + "dim 32 33\ntheta 1 0\n"
+# one point, but more than 32,768 HN types of dim 1 ... 1 under
+# theta 1 ... 12
+ARROWLESS_12 = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
+    f" {t}" for t in range(1, 13)) + "\n"
 
 
 @pytest.mark.parametrize("text,command,expected", [
@@ -424,13 +428,20 @@ K2_3233 = "vertices 2\n" + "arrow 0 1\n" * 2 + "dim 32 33\ntheta 1 0\n"
      "2^2250000 or more candidate subspace tuples exceed the budget"),
     (K2_3233, ["moduli-poly", "{problem}"],
      "total dimension 65 exceeds the type budget 64"),
-], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2"])
+    (ARROWLESS_12, ["verify", "{problem}", "--qmax", "2", "--threads", "1"],
+     "more than 32768 HN types of (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1) "
+     "exceed the type-count budget"),
+    (ARROWLESS_12, ["stratify", "{problem}", "--q", "2"],
+     "more than 32768 HN types"),
+], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2",
+        "verify-many-types", "stratify-many-types"])
 def test_budgets_fail_before_the_long_work(tmp_path, text, command,
                                            expected):
     # listing the 23,410 HN types of K3 (12,13) alone takes over 6 s, the
     # semistable recursion of K2 (32,33) multiplies polynomials of degree
-    # up to 2,112, and the exact subspace count of GF(2)^3000 has
-    # 2,250,003 bits
+    # up to 2,112, the exact subspace count of GF(2)^3000 has 2,250,003
+    # bits, and listing every HN type of the arrowless 12-vertex problem
+    # runs past 60 s
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"
@@ -444,22 +455,29 @@ def test_budgets_fail_before_the_long_work(tmp_path, text, command,
 HUGE_ARROW = "vertices 2\narrow 0 1\ndim 100000 100000\ntheta 1 0\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["stratify", "{problem}", "--q", "2"],
-    ["stratify", "{problem}", "--q", "2", "--engine", "direct"],
-    ["verify", "{problem}", "--qmax", "2", "--threads", "1"],
-    ["count-reps", "{problem}", "--brute", "2"],
-], ids=["stratify", "stratify-direct", "verify", "count-reps-brute"])
-def test_point_budget_is_checked_before_the_point_count(tmp_path, command):
+HUGE_POINTS = "2^10000000000 representations exceed the budget 16777216"
+
+
+@pytest.mark.parametrize("command,expected", [
+    (["stratify", "{problem}", "--q", "2"], HUGE_POINTS),
+    (["stratify", "{problem}", "--q", "2", "--engine", "direct"], HUGE_POINTS),
+    (["verify", "{problem}", "--qmax", "2", "--threads", "1"], HUGE_POINTS),
+    (["count-reps", "{problem}", "--brute", "2"], HUGE_POINTS),
+    (["count-reps", "{problem}"],
+     "q^10000000000 exceeds the printed degree budget 1048576"),
+], ids=["stratify", "stratify-direct", "verify", "count-reps-brute",
+        "count-reps"])
+def test_point_budget_is_checked_before_the_point_count(tmp_path, command,
+                                                        expected):
     # 2^10000000000 has 10^10 bits: the budget must fail before the
-    # point count or the counting polynomial is built
+    # point count or the counting polynomial is built, and the dense
+    # polynomial q^10000000000 would have 10^10 + 1 coefficients
     problem = tmp_path / "huge.problem"
     problem.write_text(HUGE_ARROW, encoding="utf-8")
     argv = [a.format(problem=problem) for a in command]
     done = _run_cli(argv, timeout=5, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
-    assert ("2^10000000000 representations exceed the budget 16777216"
-            in done.stderr)
+    assert expected in done.stderr
 
 
 K2_WITH_Q = "vertices 2\narrow 0 1\narrow 0 1\ndim 1 1\ntheta 1 0\nq {q}\n"

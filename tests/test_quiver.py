@@ -3,9 +3,8 @@ from itertools import product
 
 import pytest
 
-from quivercount import (CountPolynomial, Quiver, character_exponents,
-                         gl_order, gl_order_poly, group_order_poly, kronecker,
-                         rep_space_dim, slope)
+from quivercount import (CountPolynomial, Quiver, gl_order, gl_order_poly,
+                         group_order_poly, kronecker, rep_space_dim, slope)
 
 from conftest import a2_quiver
 
@@ -38,20 +37,6 @@ def test_slope_scaling_invariance():
             for k in (1, 2, 3):
                 kd = tuple(k * x for x in d)
                 assert slope(theta, kd) == slope(theta, d)
-
-
-def test_character_exponents_examples():
-    assert character_exponents((1, 0), (1, 1)) == (-1, 1)
-    assert character_exponents((0, 0), (4, 7)) == (0, 0)
-    assert character_exponents((1, 0), (2, 3)) == (-3, 2)
-
-
-def test_character_exponents_pair_to_zero():
-    # the defining property of the adjusted exponents
-    for theta in product(range(-3, 4), repeat=2):
-        for d in product(range(4), repeat=2):
-            m = character_exponents(theta, d)
-            assert sum(mi * di for mi, di in zip(m, d)) == 0
 
 
 def test_rep_space_dim():

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from quivercount import (BudgetExceeded, HNPolygon, HNType, Quiver, RepSpace,
+from quivercount import (BudgetExceeded, HNType, Quiver, RepSpace,
                          SubspaceTuple, TheoremViolation, classify_direct,
                          classify_representations, classify_scan,
-                         closure_consistency, count_hn_filtrations, dominates,
-                         enumerate_hn_types, enumerate_reps, field_table,
-                         hn_filtration, is_subrep, kronecker,
-                         nonzero_subvectors, polygon, quotient_rep, slope,
+                         count_hn_filtrations, enumerate_hn_types,
+                         enumerate_reps, field_table, hn_filtration, is_subrep,
+                         kronecker, nonzero_subvectors, quotient_rep, slope,
                          sub_rep, trivial_type)
 from quivercount.exhaustive import ScanClassifier, SpaceTable
 from quivercount.linalg import mat_vec, reduce_mod, rref
@@ -22,7 +21,7 @@ THETA = (1, 0)
 
 
 # ---------------------------------------------------------------------------
-# types and polygons
+# types
 
 
 def test_hn_type_validation():
@@ -58,47 +57,17 @@ def test_enumerate_types_budget():
         enumerate_hn_types(kronecker(2), (32, 33), THETA)
 
 
-def test_polygon_examples():
-    assert polygon(trivial_type(THETA, (1, 1))).vertices == ((0, 0), (2, 1))
-    beta = HNType(THETA, ((1, 0), (0, 1)))
-    assert polygon(beta).vertices == ((0, 0), (1, 1), (2, 1))
+def test_type_count_budget_boundary(monkeypatch):
+    import quivercount.strata as strata
 
-
-def test_polygon_heights():
-    poly = HNPolygon(((0, 0), (1, 1), (2, 1)))
-    assert poly.height_at(Fraction(1, 2)) == Fraction(1, 2)
-    assert poly.height_at(2) == 1
-    with pytest.raises(ValueError):
-        poly.height_at(3)
-
-
-def test_dominates_examples():
-    types = enumerate_hn_types(kronecker(2), (2, 3), THETA)
-    trivial = trivial_type(THETA, (2, 3))
-    for beta in types:
-        assert dominates(beta, trivial)
-        assert dominates(beta, beta)
-    gamma = HNType(THETA, ((2, 0), (0, 2)))
-    beta = HNType(THETA, ((1, 0), (1, 2)))
-    assert dominates(gamma, beta)
-    assert not dominates(beta, gamma)
-    with pytest.raises(ValueError):
-        dominates(gamma, trivial)  # ambient mismatch
-
-
-def test_dominance_is_partial_order():
-    types = enumerate_hn_types(kronecker(2), (2, 3), THETA)
-    for a in types:
-        assert dominates(a, a)
-        for b in types:
-            if dominates(a, b) and dominates(b, a):
-                assert a == b
-            for c in types:
-                if dominates(a, b) and dominates(b, c):
-                    assert dominates(a, c)
-    trivial = trivial_type(THETA, (2, 3))
-    for a in types:
-        assert dominates(a, trivial)
+    # a budget of exactly the type count passes, one below it raises
+    count = len(enumerate_hn_types(kronecker(2), (2, 3), THETA))
+    monkeypatch.setattr(strata, "MAX_TYPES", count)
+    assert len(enumerate_hn_types(kronecker(2), (2, 3), THETA)) == count
+    monkeypatch.setattr(strata, "MAX_TYPES", count - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=rf"more than {count - 1} HN types of \(2, 3\)"):
+        enumerate_hn_types(kronecker(2), (2, 3), THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +296,7 @@ def test_block_tables_match_rep_conventions(q, dims):
 
 
 # ---------------------------------------------------------------------------
-# filtration counting and closure reports
+# filtration counting
 
 
 @pytest.mark.parametrize("quiver,dims,theta,q", [
@@ -341,56 +310,6 @@ def test_every_point_has_exactly_one_filtration(quiver, dims, theta, q):
     counts = count_hn_filtrations(quiver, dims, theta, field)
     assert all(c == 1 for c in counts)
     assert len(counts) == RepSpace(quiver, dims, field).point_count
-
-
-def test_closure_report_k2_11(f2):
-    table = classify_representations(kronecker(2), (1, 1), THETA, f2)
-    report = closure_consistency(table)
-    nontrivial = HNType(THETA, ((1, 0), (0, 1)))
-    assert (nontrivial, trivial_type(THETA, (1, 1))) in report.edges
-    assert report.flags == ()
-
-
-def test_closure_report_single_stratum(f2):
-    table = classify_representations(kronecker(2), (1, 1), (0, 0), f2)
-    report = closure_consistency(table)
-    assert report.edges == ()
-
-
-def test_closure_report_k2_23_acyclic(f2):
-    table = classify_representations(kronecker(2), (2, 3), THETA, f2)
-    report = closure_consistency(table)
-    # the dominance relation must have no directed cycles
-    order = {beta: i for i, beta in enumerate(report.types)}
-    graph = {i: set() for i in range(len(report.types))}
-    for above, below in report.edges:
-        graph[order[above]].add(order[below])
-    state = {}
-
-    def dfs(node):
-        state[node] = "active"
-        for nxt in graph[node]:
-            if state.get(nxt) == "active":
-                raise AssertionError("cycle in dominance relation")
-            if nxt not in state:
-                dfs(nxt)
-        state[node] = "done"
-
-    for node in graph:
-        if node not in state:
-            dfs(node)
-    assert any(report.format_lines())
-
-
-def test_closure_flags_report_empty_dominated(f2):
-    # at q = 2 the type 1,0;0,1;0,2? -- use the table as computed and
-    # check flag bookkeeping agrees with counts
-    table = classify_representations(kronecker(2), (2, 3), THETA, f2)
-    report = closure_consistency(table)
-    for above, below in report.flags:
-        assert table.counts.get(above, 0) > 0
-        assert table.counts.get(below, 0) == 0
-        assert dominates(above, below)
 
 
 def test_hn_type_of_every_point_is_consistent_between_routes(f3):
