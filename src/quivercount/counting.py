@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .errors import CoprimalityError, TheoremViolation
+from .errors import BudgetExceeded, CoprimalityError, TheoremViolation
 from .polynomial import CountPolynomial, InexactDivisionError
 from .quiver import (gl_order_poly, group_order_poly, nonzero_subvectors,
                      pg_order, rep_space_dim, slope)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 from .strata import check_type_budget, classify_representations
+
+MAX_SEMISTABLE_PAIRS = 2**16
 
 
 def rep_count_poly(quiver, dims):
@@ -138,7 +140,8 @@ def semistable_count_polys(quiver, dims, theta):
     (m-e)_i e_j) * ss(e) * L(m-e, mu(e)), where L(m, b) counts the
     points of R(m) whose HN slopes all lie below b.  So L(m, b) is all
     of R(m) less these counts for the e of slope at least b, and
-    ss(m) = L(m, b) for b just above mu(m).
+    ss(m) = L(m, b) for b just above mu(m).  Past MAX_SEMISTABLE_PAIRS
+    pairs (m, e), e <= m <= dims, it stops before it starts.
     """
     theta = tuple(theta)
     tables = {}
@@ -167,6 +170,9 @@ def semistable_count_polys(quiver, dims, theta):
 
     dims = tuple(dims)
     check_type_budget(dims)
+    if (pairs := prod((d + 1) * (d + 2) // 2 for d in dims)) > MAX_SEMISTABLE_PAIRS:
+        raise BudgetExceeded(f"{pairs} pairs of subvectors exceed the "
+                             f"semistable recursion budget {MAX_SEMISTABLE_PAIRS}")
     table(dims)
     return {m: counts[0] for m, (_, counts) in tables.items()}
 

@@ -122,11 +122,14 @@ def weak_purity_periodic_fit(samples, period, degree_bound):
     polynomial in q^n."""
     if period < 1:
         raise ValueError("period must be positive")
-    classes = {r: [] for r in range(period)}
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    classes = {}
     for n, count in samples.samples:
-        classes[n % period].append((samples.base_q**n, count))
+        classes.setdefault(n % period, []).append((samples.base_q**n, count))
+    # each class needs a sample: the scan stops within len(samples) + 1 steps
     for r in range(period):
-        if len(classes[r]) < degree_bound + 1:
+        if len(classes.setdefault(r, [])) < degree_bound + 1:
             raise ValueError(
                 f"residue class {r} mod {period} has {len(classes[r])} samples, "
                 f"need at least {degree_bound + 1}")

@@ -45,6 +45,7 @@ Conventions fixed here and relied on everywhere else:
   records (catalog_records).
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -116,11 +117,11 @@ class RepSpace:
 
     @cached_property
     def _subrep_plan(self):
-        """The zero subspace's record at every vertex, and the vertices
+        """The zero subspace's record at every vertex, the vertices
         enumerate_subreps fixes (those of nonzero dimension, or vertex 0
         alone), each with its catalog, the (source, arrow) pairs into it
         from earlier vertices and the (target, arrow) pairs out of it
-        into earlier vertices or itself."""
+        into earlier vertices or itself, and the kept record trees."""
         catalogs = tuple(subspace_catalog(self.field, n) for n in self.dims)
         into = [[] for _ in self.dims]
         back = [[] for _ in self.dims]
@@ -131,7 +132,7 @@ class RepSpace:
                 back[s].append((t, k))
         order = [i for i, n in enumerate(self.dims) if n] or [0]
         return ([catalog[0] for catalog in catalogs],
-                [(i, catalogs[i], into[i], back[i]) for i in order])
+                [(i, catalogs[i], into[i], back[i]) for i in order], {})
 
     def __eq__(self, other):
         return (isinstance(other, RepSpace) and self.quiver == other.quiver
@@ -509,36 +510,69 @@ def is_subrep(M, S):
     return True
 
 
-def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
-    """An iterator over exactly the subspace tuples closed under all
-    arrow maps, including the zero and full tuples, in catalog product
-    order (the last vertex varies fastest).  The budget is checked on
-    the call.
+def _record_tree(space, admissible):
+    """The records enumerate_subreps tries per level, as nodes (records,
+    children): the catalog ranges of the dimensions some admissible
+    vector allows after those already fixed, and the next level's node
+    by the dimension fixed here; with no set, every catalog in full."""
+    _, levels, _ = space._subrep_plan
+    node = None
+    if admissible is None:
+        for i, catalog, _, _ in reversed(levels):
+            node = (catalog, dict.fromkeys(range(space.dims[i] + 1), node))
+        return node
+    order = [level[0] for level in levels]
 
-    Vertices are fixed one at a time.  Each arrow is checked as soon as
-    both of its ends are fixed, by looking up the action-table images
-    of the source rows among the target record's members, so a failing
-    prefix is never extended.  A vertex of dimension 0 has only the zero
-    subspace, and every arrow at it is closed, so it is fixed up front:
-    each other vertex has two or more subspaces, and the budget bounds
-    the recursion depth by log2(max_tuples).
+    def build(j, paths):
+        catalog, children, records = levels[j][1], {}, []
+        for path in paths:
+            children.setdefault(path[0], set()).add(path[1:])
+        for k in sorted(children):
+            records += catalog[bisect_left(catalog, k, key=_DIM):
+                               bisect_right(catalog, k, key=_DIM)]
+            children[k] = build(j + 1, children[k]) if len(path) > 1 else None
+        return tuple(records), children
+
+    return build(0, {tuple(e[i] for i in order) for e in admissible
+                     if all(x <= n for x, n in zip(e, space.dims))})
+
+
+def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
+    """An iterator over exactly the subspace tuples closed under all
+    arrow maps, the zero and full tuples included, whose dimension
+    vectors lie in the set ``admissible`` (by default all do), in catalog
+    product order (the last vertex varies fastest).  The budget is
+    checked on the call.
+
+    Vertices are fixed one at a time from the records that _record_tree
+    admits.  Each arrow is checked as soon as both of its ends are fixed,
+    by looking up the action-table images of the source rows among the
+    target record's members, so a failing prefix is never extended.  A
+    vertex of dimension 0 has only the zero subspace, and every arrow at
+    it is closed, so it is fixed up front: each other vertex has two or
+    more subspaces, and the budget bounds the recursion depth by
+    log2(max_tuples).
     """
     space = M.space
     field = space.field
     dims = space.dims
     check_tuple_budget(dims, field.q, max_tuples)
-    zeros, levels = space._subrep_plan
+    zeros, levels, trees = space._subrep_plan
+    key = None if admissible is None else frozenset(admissible)
+    if key not in trees:
+        trees[key] = _record_tree(space, key)
     acts = M.actions
     chosen = list(zeros)
     last = len(levels) - 1
 
-    def extend(j):
-        i, catalog, into, checks = levels[j]
+    def extend(j, node):
+        i, _, into, checks = levels[j]
+        records, children = node
         need = set()
         for s, k in into:
             act = acts[k]
             need.update([act[c] for c in chosen[s].codes])
-        for rec in catalog:
+        for rec in records:
             if not need <= rec.members:
                 continue
             if checks and not all(
@@ -549,9 +583,9 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES):
             if j == last:
                 yield SubspaceTuple._from_records(dims, field, tuple(chosen))
             else:
-                yield from extend(j + 1)
+                yield from extend(j + 1, children[rec.k])
 
-    return extend(0)
+    return extend(0, trees[key])
 
 
 # ---------------------------------------------------------------------------

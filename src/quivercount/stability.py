@@ -2,10 +2,11 @@
 Harder-Narasimhan filtration, computed point by point.
 
 The quantifier "for all subrepresentations" is realized by exhaustive
-enumeration, which is correct by construction at the scales this
-package targets.  Bulk classification of whole representation spaces
-lives in the exhaustive module; the functions here are the reference
-route for a single representation.
+enumeration of the dimension vectors of slope above mu(M) (at least
+mu(M) for the stability tests): a subrepresentation of lower slope can
+neither destabilize M (King 1994) nor share the slope of the maximal
+destabilizing one (Reineke 2003).  These functions are the reference
+route for one representation; the exhaustive module classifies spaces.
 """
 
 from dataclasses import dataclass
@@ -61,13 +62,11 @@ def is_stable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """Three-way verdict: stable, strictly semistable, or unstable."""
     ranks, mu = _slope_ranks(M, theta)
     equal_witness = None
-    for S in enumerate_subreps(M, max_tuples=max_tuples):
-        if S.total_dim == 0 or S.is_full():
-            continue
-        mu_s = ranks[S.dims]
-        if mu_s > mu:
+    upper = frozenset(e for e, r in ranks.items() if r >= mu) - {M.space.dims}
+    for S in enumerate_subreps(M, max_tuples=max_tuples, admissible=upper):
+        if ranks[S.dims] > mu:
             return StabilityVerdict(UNSTABLE, S)
-        if mu_s == mu and equal_witness is None:
+        if equal_witness is None:
             equal_witness = S
     if equal_witness is not None:
         return StabilityVerdict(SEMISTABLE_NOT_STABLE, equal_witness)
@@ -85,34 +84,21 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     and is reported loudly.
     """
     ranks, mu = _slope_ranks(M, theta)
-    field = M.space.field
-    best_key = None
-    maximizers = []
-    same_slope = []
-    for S in enumerate_subreps(M, max_tuples=max_tuples):
-        if S.total_dim == 0:
-            continue
-        key = (ranks[S.dims], S.total_dim)
-        if best_key is None or key[0] > best_key[0]:
-            best_key = key
-            maximizers = [S]
-            same_slope = [S]
-        elif key[0] == best_key[0]:
-            same_slope.append(S)
-            if key[1] > best_key[1]:
-                best_key = key
-                maximizers = [S]
-            elif key[1] == best_key[1]:
-                maximizers.append(S)
-    if best_key is None or best_key[0] <= mu:
+    above = frozenset(e for e, r in ranks.items() if r > mu)
+    found = list(enumerate_subreps(M, max_tuples=max_tuples, admissible=above))
+    if not found:
         return SubspaceTuple.full(M.space.dims)
+    top = max(ranks[S.dims] for S in found)
+    same_slope = [S for S in found if ranks[S.dims] == top]
+    size = max(S.total_dim for S in same_slope)
+    maximizers = [S for S in same_slope if S.total_dim == size]
     if len(maximizers) > 1:
         raise TheoremViolation(
             "non-unique maximal destabilizing subrepresentation "
             f"(dims {[m.dims for m in maximizers]})")
     best = maximizers[0]
     for S in same_slope:
-        if not contains(field, best, S):
+        if not contains(M.space.field, best, S):
             raise TheoremViolation(
                 "maximal destabilizing subrepresentation does not contain a "
                 f"subrepresentation of equal slope (dims {S.dims})")
@@ -138,11 +124,15 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     quotient = M
     while True:
         T = maximal_destabilizing(quotient, theta, max_tuples=max_tuples)
-        step = pullback(field, current, T.bases)
+        # on the zero step the quotient is M itself, so T needs no lift
+        step = pullback(field, current, T.bases) if pieces else T
         pieces.append(tuple(b - a for a, b in zip(current.dims, step.dims)))
         steps.append(step)
         if step.is_full():
             break
         current = step
         quotient = quotient_rep(M, current)
-    return Filtration(tuple(steps)), HNType(tuple(theta), tuple(pieces))
+    ranks = [slope_ranks(tuple(theta), space.dims)[p] for p in pieces]
+    if any(a <= b for a, b in zip(ranks, ranks[1:])):
+        raise TheoremViolation(f"HN slopes do not strictly decrease: {pieces}")
+    return Filtration(tuple(steps)), HNType._trusted(tuple(theta), tuple(pieces))

@@ -417,6 +417,10 @@ K2_3233 = "vertices 2\n" + "arrow 0 1\n" * 2 + "dim 32 33\ntheta 1 0\n"
 # theta 1 ... 12
 ARROWLESS_12 = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
     f" {t}" for t in range(1, 13)) + "\n"
+# the same space under theta 1, 2, 4, ..., 2048: coprime, so moduli-poly
+# reaches the semistable recursion over its 3^12 pairs (m, e)
+ARROWLESS_12_COPRIME = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
+    f" {2**t}" for t in range(12)) + "\n"
 
 
 @pytest.mark.parametrize("text,command,expected", [
@@ -433,15 +437,19 @@ ARROWLESS_12 = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
      "exceed the type-count budget"),
     (ARROWLESS_12, ["stratify", "{problem}", "--q", "2"],
      "more than 32768 HN types"),
+    (ARROWLESS_12_COPRIME, ["moduli-poly", "{problem}"],
+     "531441 pairs of subvectors exceed the semistable recursion budget "
+     "65536"),
 ], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2",
-        "verify-many-types", "stratify-many-types"])
+        "verify-many-types", "stratify-many-types", "moduli-poly-many-pairs"])
 def test_budgets_fail_before_the_long_work(tmp_path, text, command,
                                            expected):
     # listing the 23,410 HN types of K3 (12,13) alone takes over 6 s, the
     # semistable recursion of K2 (32,33) multiplies polynomials of degree
     # up to 2,112, the exact subspace count of GF(2)^3000 has 2,250,003
     # bits, and listing every HN type of the arrowless 12-vertex problem
-    # runs past 60 s
+    # runs past 60 s; without a budget the semistable recursion of its
+    # coprime variant takes about 13 s to print 0
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"
@@ -552,6 +560,20 @@ def test_purity_fit_period_one(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "strong-polynomial"
     assert data["polynomials"][0]["pretty"] == "q - 1"
+
+
+def test_purity_fit_huge_period_fails_at_once(tmp_path):
+    # a class per residue up to the period would be 10^11 lists; the
+    # first empty class is found after the samples are grouped
+    samples = tmp_path / "gm.samples"
+    samples.write_text("base_q 2\n1 1\n2 3\n3 7\n", encoding="utf-8")
+    done = _run_cli(["purity-fit", "--samples", str(samples), "--period",
+                     "100000000000", "--degree", "1"],
+                    timeout=5, preexec_fn=_limit_address_space)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert ("residue class 0 mod 100000000000 has 0 samples, need at "
+            "least 2") in done.stderr
 
 
 def test_missing_file_is_an_error(capsys):

@@ -1,5 +1,7 @@
-"""Property tests of the subspace and subrepresentation layer and of the
-scan, its rows of preserving points included, against the definitions.
+"""Property tests of the subspace and subrepresentation layer, the
+enumeration restricted to admissible dimension vectors included, and of
+the scan, its rows of preserving points included, against the
+definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -108,6 +110,32 @@ def test_enumeration_is_the_definitional_filter(point):
             assert stable.witness in equal
         else:
             assert stable == StabilityVerdict(STABLE)
+
+
+@st.composite
+def admissible_sets(draw):
+    """A point as points() draws it and a random set of dimension vectors,
+    some of them above its dimension vector or nonzero at a vertex of
+    dimension 0."""
+    M, _ = draw(points())
+    vectors = list(product(*(range(d + 2) for d in M.space.dims)))
+    return M, frozenset(draw(st.sets(st.sampled_from(vectors))))
+
+
+@DETERMINISTIC
+@given(admissible_sets())
+@example((_point(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0))[0],  # a 2-cycle
+          frozenset({(0, 0), (1, 1), (2, 1), (2, 2)})))
+@example((_point(((1, 1),), (0, 3), 3, 5, (0, 0))[0],           # a loop
+          frozenset({(0, 1), (0, 3), (1, 2)})))
+def test_filtered_enumeration_is_the_restricted_filter(case):
+    M, admissible = case
+    found = list(enumerate_subreps(M, admissible=admissible))
+    assert set(found) == {S for S in definitional_subreps(M)
+                          if S.dims in admissible}
+    # the unfiltered order, and the same again from the kept record tree
+    assert found == [S for S in enumerate_subreps(M) if S.dims in admissible]
+    assert list(enumerate_subreps(M, admissible=set(admissible))) == found
 
 
 @st.composite

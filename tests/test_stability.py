@@ -6,6 +6,7 @@ from quivercount import (RepSpace, associated_graded,
                          enumerate_hn_types, enumerate_reps, hn_filtration,
                          is_semistable, is_stable, kronecker,
                          maximal_destabilizing, slope)
+from quivercount import stability
 from quivercount.stability import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE,
                                    UNSTABLE)
 
@@ -149,3 +150,23 @@ def test_hn_rejects_zero_dimension(f2):
     space = RepSpace(Quiver(2, ()), (0, 0), f2)
     with pytest.raises(ValueError):
         hn_filtration(space.rep(0), THETA)
+
+
+def test_the_procedure_enumerates_through_the_stability_namespace(
+        f2, monkeypatch):
+    # bench/replay.py times and counts subrepresentations by wrapping
+    # stability.enumerate_subreps; if the procedure stopped calling it
+    # there, its traced rep.subreps_yielded would read 0
+    original = stability.enumerate_subreps
+    yielded = []
+
+    def traced(M, *args, **kwargs):
+        for S in original(M, *args, **kwargs):
+            yielded.append(S)
+            yield S
+
+    monkeypatch.setattr(stability, "enumerate_subreps", traced)
+    space = RepSpace(kronecker(2), (2, 3), f2)
+    for idx in range(0, space.point_count, 16):
+        hn_filtration(space.rep(idx), THETA)
+    assert len(yielded) > 0
