@@ -4,7 +4,11 @@ Two independent routes compute the stratum table:
 
 * ``classify_direct`` runs the filtration procedure point by point; it
   is the reference route and can spread index ranges over worker
-  processes.
+  processes.  A point's type is the dimension vector of its maximal
+  destabilizing subrepresentation T followed by the type of M/T, and
+  the types of the quotients are memoized by (dimension vector, index)
+  for one index range, so each worker classifies a distinct quotient
+  once.
 * ``classify_scan`` turns the quantifier around: for every candidate
   destabilizing subspace tuple it enumerates the representations that
   preserve it.  Preserving a fixed tuple is a linear condition, so the
@@ -37,11 +41,13 @@ from collections import Counter
 from functools import partial
 from itertools import product
 
+from . import stability
 from .errors import BudgetExceeded, TheoremViolation
 from .linalg import decode_vector, encode_matrix
-from .quiver import nonzero_subvectors, slope, total_dim
+from .quiver import nonzero_subvectors, slope, slope_ranks, total_dim
 from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  check_rep_budget, check_tuple_budget, subspace_catalog)
+                  check_rep_budget, check_tuple_budget, quotient_rep,
+                  subspace_catalog)
 from .strata import MAX_TYPES, HNType, trivial_type
 
 MAX_TYPE_ID = MAX_TYPES - 1  # the largest id that type_ids, an array("h"), holds
@@ -278,13 +284,33 @@ def classify_scan(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
 
 
 def _direct_range(quiver, dims, theta, field, start, stop, max_tuples):
-    from .stability import hn_filtration
+    """The HN type counts of the points start .. stop - 1, by pieces.
 
+    A point's type is (dim T,) followed by the type of M/T, T its maximal
+    destabilizing subrepresentation (Reineke 2003).  The types of the
+    quotients are memoized by (dimension vector, index) for this call
+    only, so each distinct quotient is classified once.
+    """
     space = RepSpace(quiver, dims, field)
+    ranks = slope_ranks(theta, dims)
+    memo = {}
+
+    def pieces_of(M):
+        T = stability.maximal_destabilizing(M, theta, max_tuples=max_tuples)
+        if T.is_full():
+            return (T.dims,)
+        Q = quotient_rep(M, T)
+        key = (Q.dims, Q.index)
+        tail = memo.get(key)
+        if tail is None:
+            tail = memo[key] = pieces_of(Q)
+        return (T.dims,) + tail
+
     counter = Counter()
     for idx in range(start, stop):
-        _, beta = hn_filtration(space.rep(idx), theta, max_tuples=max_tuples)
-        counter[beta.pieces] += 1
+        pieces = pieces_of(space.rep(idx))
+        stability.check_decreasing(ranks, pieces)
+        counter[pieces] += 1
     return counter
 
 

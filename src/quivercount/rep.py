@@ -153,6 +153,13 @@ def _space(quiver, dims, field):
     return space
 
 
+@lru_cache(maxsize=256)
+def full_tuple(ambient):
+    """The full subspace tuple of a dimension vector (a tuple of ints),
+    one shared instance per vector."""
+    return SubspaceTuple.full(ambient)
+
+
 def _action_table(field, mat, n_src):
     """The code of mat * v for every v in GF(q)^{n_src}, by code of v.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .quiver import slope_ranks
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
-                  enumerate_subreps, pullback, quotient_rep)
+                  enumerate_subreps, full_tuple, pullback, quotient_rep)
 from .strata import HNType
 
 UNSTABLE = "unstable"
@@ -87,7 +87,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     above = frozenset(e for e, r in ranks.items() if r > mu)
     found = list(enumerate_subreps(M, max_tuples=max_tuples, admissible=above))
     if not found:
-        return SubspaceTuple.full(M.space.dims)
+        return full_tuple(M.space.dims)
     top = max(ranks[S.dims] for S in found)
     same_slope = [S for S in found if ranks[S.dims] == top]
     size = max(S.total_dim for S in same_slope)
@@ -132,7 +132,16 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
             break
         current = step
         quotient = quotient_rep(M, current)
-    ranks = [slope_ranks(tuple(theta), space.dims)[p] for p in pieces]
-    if any(a <= b for a, b in zip(ranks, ranks[1:])):
-        raise TheoremViolation(f"HN slopes do not strictly decrease: {pieces}")
-    return Filtration(tuple(steps)), HNType._trusted(tuple(theta), tuple(pieces))
+    pieces = tuple(pieces)
+    check_decreasing(slope_ranks(tuple(theta), space.dims), pieces)
+    return Filtration(tuple(steps)), HNType._trusted(tuple(theta), pieces)
+
+
+def check_decreasing(ranks, pieces):
+    """Raise TheoremViolation unless the slope ranks of the pieces (read
+    from the rank table of a vector they all lie under) strictly
+    decrease."""
+    mus = [ranks[p] for p in pieces]
+    if any(a <= b for a, b in zip(mus, mus[1:])):
+        raise TheoremViolation(
+            f"HN slopes do not strictly decrease: {list(pieces)}")

@@ -98,16 +98,23 @@ def enumerate_hn_types(quiver, dims, theta):
     theta = tuple(int(t) for t in theta)
     check_type_budget(dims)
     rank = slope_ranks(theta, dims)  # every piece is a subvector of dims
+    # per remaining vector, its (rank, piece, what is left) triples,
+    # built the first time the vector is reached
+    splits = {}
 
     def rest(remaining, bound):
         if total_dim(remaining) == 0:
             yield ()
             return
-        for piece in nonzero_subvectors(remaining):
-            mu = rank[piece]
+        choices = splits.get(remaining)
+        if choices is None:
+            choices = splits[remaining] = [
+                (rank[piece], piece,
+                 tuple(r - p for r, p in zip(remaining, piece)))
+                for piece in nonzero_subvectors(remaining)]
+        for mu, piece, tail_remaining in choices:
             if mu >= bound:
                 continue
-            tail_remaining = tuple(r - p for r, p in zip(remaining, piece))
             for tail in rest(tail_remaining, mu):
                 yield (piece,) + tail
 

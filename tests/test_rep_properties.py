@@ -1,7 +1,7 @@
 """Property tests of the subspace and subrepresentation layer, the
-enumeration restricted to admissible dimension vectors included, and of
-the scan, its rows of preserving points included, against the
-definitions.
+enumeration restricted to admissible dimension vectors included, of the
+scan, its rows of preserving points included, and of the direct route's
+counts, against the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -19,9 +19,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          Quiver, RepSpace, ScanClassifier, StabilityVerdict,
-                         SubspaceTuple, count_hn_filtrations, enumerate_subreps,
-                         enumerate_subspaces, field_table, hn_filtration,
-                         is_semistable, is_stable, is_subrep,
+                         SubspaceTuple, classify_direct, count_hn_filtrations,
+                         enumerate_subreps, enumerate_subspaces, field_table,
+                         hn_filtration, is_semistable, is_stable, is_subrep,
                          maximal_destabilizing, quotient_rep, slope, sub_rep)
 from quivercount.linalg import decode_vector, encode_vector
 from quivercount.rep import subspace_catalog
@@ -175,6 +175,20 @@ def test_scan_types_match_the_procedure_at_every_point(case):
     assert sum(table.counts.values()) == space.point_count
     counts = count_hn_filtrations(quiver, dims, theta, field)
     assert counts == [1] * space.point_count
+
+
+@DETERMINISTIC
+@given(spaces())
+@example(_space(((0, 0),), (3,), 2, (0,)))                     # a loop
+@example(_space(((0, 1), (0, 1)), (1, 2), 3, (1, 0)))          # parallel arrows
+@example(_space(((0, 1), (1, 0), (1, 1)), (2, 1), 2, (1, 0)))  # 2-cycle, loop
+def test_direct_route_counts_the_procedure_types(case):
+    # the quotient memo of the direct route changes no point's type
+    space, theta = case
+    expected = Counter(hn_filtration(space.rep(idx), theta)[1]
+                       for idx in range(space.point_count))
+    assert classify_direct(space.quiver, space.dims, theta,
+                           space.field) == expected
 
 
 @DETERMINISTIC

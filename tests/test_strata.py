@@ -1,5 +1,6 @@
 import random
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from quivercount import (BudgetExceeded, HNType, Quiver, RepSpace,
                          SubspaceTuple, TheoremViolation, classify_direct,
                          classify_representations, classify_scan,
                          count_hn_filtrations, enumerate_hn_types,
-                         enumerate_reps, field_table, hn_filtration, is_subrep,
-                         kronecker, nonzero_subvectors, quotient_rep, slope,
-                         sub_rep, trivial_type)
+                         enumerate_reps, enumerate_subreps, field_table,
+                         hn_filtration, is_subrep, kronecker,
+                         nonzero_subvectors, quotient_rep, slope, sub_rep,
+                         trivial_type)
 from quivercount.exhaustive import ScanClassifier, SpaceTable
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
@@ -161,14 +163,68 @@ def test_scan_claims_points_past_254_destabilizer_groups(f2):
         classify_direct(quiver, dims, theta, f2)
 
 
-def test_classify_direct_workers(f3, monkeypatch):
+def test_classify_direct_workers(f2, f3, monkeypatch):
     import quivercount.exhaustive as exhaustive
 
-    monkeypatch.setattr(exhaustive, "POOL_MIN_POINTS", 1)
     quiver = kronecker(2)
+    # 4,096 points take the pool at the default threshold
+    assert RepSpace(quiver, (2, 3), f2).point_count >= exhaustive.POOL_MIN_POINTS
+    assert (classify_direct(quiver, (2, 3), THETA, f2, workers=2)
+            == classify_direct(quiver, (2, 3), THETA, f2, workers=1))
+    monkeypatch.setattr(exhaustive, "POOL_MIN_POINTS", 1)
     seq = classify_direct(quiver, (1, 2), THETA, f3, workers=1)
     par = classify_direct(quiver, (1, 2), THETA, f3, workers=2)
     assert seq == par
+
+
+def _lowest_slope_subrep(M, theta, max_tuples=None):
+    """A broken maximal_destabilizing: the proper nonzero subrepresentation
+    of least slope, so the pieces' slopes come out increasing."""
+    dims = M.space.dims
+    proper = [S for S in enumerate_subreps(M)
+              if 0 < S.total_dim < sum(dims)]
+    if not proper:
+        return SubspaceTuple.full(dims)
+    return min(proper, key=lambda S: slope(theta, S.dims))
+
+
+def test_direct_route_rejects_slopes_that_do_not_decrease(f2, monkeypatch):
+    import quivercount.stability as stability
+
+    monkeypatch.setattr(stability, "maximal_destabilizing",
+                        _lowest_slope_subrep)
+    quiver = kronecker(2)
+    message = r"HN slopes do not strictly decrease: \[\(0, 1\), \(1, 0\)\]"
+    with pytest.raises(TheoremViolation, match=message):
+        hn_filtration(RepSpace(quiver, (1, 1), f2).rep(0), THETA)
+    with pytest.raises(TheoremViolation, match=message):
+        classify_direct(quiver, (1, 1), THETA, f2)
+
+
+def test_direct_calls_share_no_quotient_memo(f2, monkeypatch):
+    import quivercount.stability as stability
+
+    calls = [0]
+    original = stability.maximal_destabilizing
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "maximal_destabilizing", counted)
+    quiver, dims = kronecker(2), (2, 2)
+    space = RepSpace(quiver, dims, f2)
+    per_point = Counter(hn_filtration(space.rep(idx), THETA)[1]
+                        for idx in range(space.point_count))
+    unmemoized, calls[0] = calls[0], 0
+    made = []
+    for _ in range(2):
+        assert classify_direct(quiver, dims, THETA, f2) == per_point
+        made.append(calls[0])
+        calls[0] = 0
+    # once per point and once per distinct quotient, in either call
+    assert made[0] == made[1]
+    assert space.point_count < made[0] < unmemoized
 
 
 def test_every_realized_type_is_enumerated(f2):
