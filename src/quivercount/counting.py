@@ -1,25 +1,25 @@
 """Closed-form stratum counts and the recursion that produces the
 semistable and moduli counting polynomials.
 
-The count of one stratum factors as (number of flags of the type) x
-(free off-diagonal block choices) x (semistable choices for the
-diagonal blocks):
+Both factor through the first HN piece.  A point of R(m) whose first
+piece has dimension vector e is a subspace tuple of dimension vector e,
+free arrow blocks from the rest into it, a semistable point of R(e) and
+a point of R(m - e) whose HN slopes all lie below the slope of e.  The
+first two choices number
 
-    |S_beta| = (g_d / |P_beta|) * q^f(beta) * prod_k |R^ss(d^k)|
+    F(m, e) = [m; e]_q * q^(sum over arrows i->j of (m-e)_i e_j),
 
-with |P_beta| the order of the flag-preserving subgroup and f(beta)
-counting the arrow matrix entries above the block diagonal.  The flag
-factor g_d / |P_beta| is the product over vertices of the Gaussian
-multinomials [d_i; d^1_i, ..., d^s_i]_q, each computed once.  Which
-triangle of blocks is free is a convention that cannot be read off a
-formula alone; the acceptance suite locks it by exact comparison with
-exhaustive classification before anything downstream is trusted.
+the product over vertices of Gaussian binomials [m_i; e_i]_q, each
+computed once, times one q-power.  A stratum count is the fold of
+F(m, d^k) * |R^ss(d^k)| over the pieces d^k of its type, m losing one
+piece per step.  Which triangle of blocks is free is a convention that
+cannot be read off a formula alone; the acceptance suite locks it by
+exact comparison with exhaustive classification before anything
+downstream is trusted.
 
-The semistable counts come from a two-step recursion (Reineke) that
-peels off the first HN piece, so it never lists the types: a point
-count of R(m) splits by the dimension vector of its first piece, and
-the remaining pieces are a point of a smaller space whose HN slopes all
-lie below that piece's slope.
+The semistable counts come from a two-step recursion (Reineke) with the
+same factor, so it never lists the types: the points of R(m) split by
+the dimension vector of their first piece.
 """
 
 from bisect import bisect_left
@@ -43,86 +43,53 @@ def rep_count_poly(quiver, dims):
     return CountPolynomial.monomial(rep_space_dim(quiver, dims))
 
 
-def parabolic_order_poly(beta):
-    """Order of the subgroup preserving one flag of type beta: per vertex,
-    a q-power for the unipotent blocks times the GL orders of the
-    diagonal blocks."""
-    out = CountPolynomial.one()
-    pieces = beta.pieces
-    n = len(pieces)
-    for i in range(len(beta.ambient)):
-        exponent = sum(pieces[k][i] * pieces[l][i]
-                       for k in range(n) for l in range(k))
-        out = out * CountPolynomial.monomial(exponent)
-        for k in range(n):
-            out = out * gl_order_poly(pieces[k][i])
-    return out
-
-
 @lru_cache(maxsize=1024)
-def gaussian_multinomial(n, parts):
-    """[n; parts]_q, the flags in GF(q)^n with quotients of sizes parts
-    (sorted, nonzero, summing to n; the value ignores their order): |GL_n|
-    / (q^e prod |GL_(p_k)|), e = sum over k > l of p_k p_l, exactly."""
-    exponent = (n * n - sum(p * p for p in parts)) // 2
-    return gl_order_poly(n).div_exact(prod(
-        map(gl_order_poly, parts), start=CountPolynomial.monomial(exponent)))
+def gaussian_binomial(n, k):
+    """[n; k]_q, the k-dimensional subspaces of GF(q)^n: |GL_n| /
+    (q^(k(n-k)) |GL_k| |GL_(n-k)|), exactly."""
+    return gl_order_poly(n).div_exact(CountPolynomial.monomial(k * (n - k))
+                                      * gl_order_poly(k) * gl_order_poly(n - k))
 
 
-def flag_count_poly(beta):
-    """Number of flags of type beta, the group order divided by the
-    parabolic order: per vertex, a Gaussian multinomial in the piece
-    dimensions there."""
-    columns = zip(beta.ambient, zip(*beta.pieces))
-    try:
-        return prod((gaussian_multinomial(n, tuple(sorted(filter(None, parts))))
-                     for n, parts in columns), start=CountPolynomial.one())
-    except InexactDivisionError as exc:
-        raise TheoremViolation(f"inexact flag factor for type {beta}") from exc
-
-
-def fiber_exponent(quiver, beta):
-    """Number of free arrow matrix entries once a flag of type beta is
-    preserved: blocks from a later piece to an earlier one."""
-    pieces = beta.pieces
-    n = len(pieces)
-    exponent = 0
-    for (i, j) in quiver.arrows:
-        for k in range(n):
-            for l in range(k):
-                exponent += pieces[k][i] * pieces[l][j]
-    return exponent
+def first_piece_factor(quiver, m, e):
+    """F(m, e) = [m; e]_q * q^(sum over arrows i->j of (m-e)_i e_j): the
+    subspace tuples of dimension vector e in GF(q)^m times the free arrow
+    blocks from the rest into them (see the module docstring)."""
+    exponent = sum((m[i] - e[i]) * e[j] for (i, j) in quiver.arrows)
+    return prod((gaussian_binomial(n, k) for n, k in zip(m, e) if 0 < k < n),
+                start=CountPolynomial.monomial(exponent))
 
 
 @dataclass(frozen=True)
 class StratumFormula:
-    """The factored closed form of one stratum count."""
+    """The closed form of one stratum count: one factor F(m, d^k) *
+    ss(d^k) per HN piece d^k, with m the ambient vector less the earlier
+    pieces; or the single factor zero when some piece has no semistable
+    point."""
 
     beta: object
-    flag_factor: CountPolynomial
-    fiber_exponent: int
-    ss_factors: tuple
+    factors: tuple
 
     def polynomial(self):
-        out = self.flag_factor * CountPolynomial.monomial(self.fiber_exponent)
-        for _, factor in self.ss_factors:
-            out = out * factor
-        return out
+        return prod(self.factors, start=CountPolynomial.one())
 
 
 def stratum_formula(quiver, beta, ss_counts):
-    """Assemble the stratum formula from known semistable counts.
+    """Fold the first-piece factor over the pieces of beta.
 
-    ``ss_counts`` maps each piece dimension vector of beta to its
-    semistable count polynomial.
+    ``ss_counts`` maps the piece dimension vectors of beta to their
+    semistable count polynomials; the pieces after a zero one are not
+    read.
     """
-    factors = []
+    m, factors = beta.ambient, []
     for piece in beta.pieces:
         if piece not in ss_counts:
             raise ValueError(f"missing semistable count for piece {piece}")
-        factors.append((piece, ss_counts[piece]))
-    return StratumFormula(beta, flag_count_poly(beta),
-                          fiber_exponent(quiver, beta), tuple(factors))
+        if ss_counts[piece].is_zero():
+            return StratumFormula(beta, (CountPolynomial.zero(),))
+        factors.append(first_piece_factor(quiver, m, piece) * ss_counts[piece])
+        m = tuple(a - b for a, b in zip(m, piece))
+    return StratumFormula(beta, tuple(factors))
 
 
 def stratum_count_poly(quiver, beta, ss_counts):
@@ -136,12 +103,13 @@ def semistable_count_polys(quiver, dims, theta):
 
     Reineke's two-step recursion peels off the first HN piece.  The
     points of R(m) whose first piece has dimension vector e, of slope
-    above mu(m), number [m; e]_q * q^(sum over arrows i->j of
-    (m-e)_i e_j) * ss(e) * L(m-e, mu(e)), where L(m, b) counts the
-    points of R(m) whose HN slopes all lie below b.  So L(m, b) is all
-    of R(m) less these counts for the e of slope at least b, and
-    ss(m) = L(m, b) for b just above mu(m).  Past MAX_SEMISTABLE_PAIRS
-    pairs (m, e), e <= m <= dims, it stops before it starts.
+    above mu(m), number F(m, e) * ss(e) * L(m-e, mu(e)), with F the
+    first_piece_factor and L(m, b) the count of the points of R(m) whose
+    HN slopes all lie below b.  So L(m, b) is all of R(m) less these
+    counts for the e of slope at least b, and ss(m) = L(m, b) for b just
+    above mu(m).  A nonzero ss(m) that is not monic of degree dim R(m)
+    is a TheoremViolation.  Past MAX_SEMISTABLE_PAIRS pairs (m, e),
+    e <= m <= dims, it stops before it starts.
     """
     theta = tuple(theta)
     tables = {}
@@ -157,14 +125,17 @@ def semistable_count_polys(quiver, dims, theta):
             counts = [rep_count_poly(quiver, m)]
             for mu_e, e in reversed(upper):
                 rest = tuple(a - b for a, b in zip(m, e))
-                flags = prod((gaussian_multinomial(n, tuple(sorted((k, n - k))))
-                              for n, k in zip(m, e) if 0 < k < n),
-                             start=CountPolynomial.monomial(sum(
-                                 rest[i] * e[j] for (i, j) in quiver.arrows)))
                 # mu(rest) < mu(m) < mu(e), so L(rest, mu(e)) is in rest's table
                 mus, rest_counts = table(rest)
                 tail = rest_counts[bisect_left(mus, mu_e)]
-                counts.append(counts[-1] - flags * table(e)[1][0] * tail)
+                counts.append(counts[-1] - first_piece_factor(quiver, m, e)
+                              * table(e)[1][0] * tail)
+            ss = counts[-1]
+            # R^ss(m) is open in the affine space R(m), counts[0] = q^N:
+            # if it has a point, its complement has dimension below N
+            if ss.coeffs and ss.coeffs[counts[0].degree:] != (1,):
+                raise TheoremViolation(f"semistable count of {m} is not "
+                                       f"monic of degree dim R{m}: {ss}")
             tables[m] = [mu_e for mu_e, _ in upper], counts[::-1]
         return tables[m]
 
@@ -212,7 +183,9 @@ def _require_coprime(dims, theta):
 def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
     representations (see moduli_poly_from_semistable)."""
-    _require_coprime(tuple(dims), theta)  # before the recursion
+    dims = tuple(dims)
+    check_type_budget(dims)  # before the subvectors of dims are listed
+    _require_coprime(dims, theta)  # before the recursion
     return moduli_poly_from_semistable(
         dims, theta, semistable_count_poly(quiver, dims, theta))
 

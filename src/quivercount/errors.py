@@ -40,8 +40,8 @@ class TheoremViolation(QuiverCountError):
     """An identity the theory guarantees failed to hold.
 
     Raised on inexact divisions, non-integer or negative moduli
-    coefficients, partition failures and non-unique maximal
-    destabilizing subrepresentations.
+    coefficients, non-monic semistable counts, partition failures and
+    non-unique maximal destabilizing subrepresentations.
     Never recoverable: it means either a bug or a wrong convention.
     """
 

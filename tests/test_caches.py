@@ -29,7 +29,7 @@ def test_every_lru_cache_is_bounded():
     found = cached_functions()
     # the scan sees the caches it is meant to check
     for name in ("quivercount.quiver.gl_order_poly",
-                 "quivercount.counting.gaussian_multinomial",
+                 "quivercount.counting.gaussian_binomial",
                  "quivercount.rep._catalog"):
         assert name in found
     unbounded = sorted(name for name, fn in found.items()

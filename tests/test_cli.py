@@ -421,6 +421,9 @@ ARROWLESS_12 = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
 # reaches the semistable recursion over its 3^12 pairs (m, e)
 ARROWLESS_12_COPRIME = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
     f" {2**t}" for t in range(12)) + "\n"
+# a dimension past 10^8, and one past the C size of a range
+ARROW_1E8 = "vertices 2\narrow 0 1\ndim 100000000 1\ntheta 1 0\n"
+ARROW_1E20 = "vertices 2\narrow 0 1\ndim 100000000000000000000 1\ntheta 1 0\n"
 
 
 @pytest.mark.parametrize("text,command,expected", [
@@ -440,8 +443,11 @@ ARROWLESS_12_COPRIME = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
     (ARROWLESS_12_COPRIME, ["moduli-poly", "{problem}"],
      "531441 pairs of subvectors exceed the semistable recursion budget "
      "65536"),
+    (ARROW_1E8, ["moduli-poly", "{problem}"], "exceeds the type budget 64"),
+    (ARROW_1E20, ["moduli-poly", "{problem}"], "exceeds the type budget 64"),
 ], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2",
-        "verify-many-types", "stratify-many-types", "moduli-poly-many-pairs"])
+        "verify-many-types", "stratify-many-types", "moduli-poly-many-pairs",
+        "moduli-poly-huge-dim", "moduli-poly-overflow"])
 def test_budgets_fail_before_the_long_work(tmp_path, text, command,
                                            expected):
     # listing the 23,410 HN types of K3 (12,13) alone takes over 6 s, the
@@ -449,7 +455,8 @@ def test_budgets_fail_before_the_long_work(tmp_path, text, command,
     # up to 2,112, the exact subspace count of GF(2)^3000 has 2,250,003
     # bits, and listing every HN type of the arrowless 12-vertex problem
     # runs past 60 s; without a budget the semistable recursion of its
-    # coprime variant takes about 13 s to print 0
+    # coprime variant takes about 13 s to print 0; the coprimality check
+    # of moduli-poly lists every subvector of dim 100000000 1
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"

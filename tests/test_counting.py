@@ -5,13 +5,12 @@ import pytest
 from quivercount import (CoprimalityError, CountPolynomial, HNType, Quiver,
                          TheoremViolation, classify_representations,
                          coprime_witness, enumerate_hn_types, enumerate_reps,
-                         fiber_exponent, field_table, flag_count_poly,
-                         gl_order, group_order_poly, is_coprime, kronecker,
-                         moduli_count_poly, nonzero_subvectors,
-                         parabolic_order_poly, rep_count_poly, rep_space_dim,
-                         semistable_count_poly, semistable_count_polys, slope,
-                         stratum_count_poly, stratum_formula,
-                         torsor_orbit_count, trivial_type)
+                         field_table, first_piece_factor, gl_order,
+                         group_order_poly, is_coprime, kronecker,
+                         moduli_count_poly, nonzero_subvectors, rep_count_poly,
+                         rep_space_dim, semistable_count_poly,
+                         semistable_count_polys, slope, stratum_count_poly,
+                         stratum_formula, torsor_orbit_count, trivial_type)
 from quivercount.counting import moduli_poly_from_semistable
 
 from conftest import a2_quiver
@@ -32,38 +31,56 @@ def test_trivial_stratum_formula_is_identity():
     marker = CountPolynomial((7, 3, 1))
     assert stratum_count_poly(kronecker(2), beta, {(2, 3): marker}) == marker
     formula = stratum_formula(kronecker(2), beta, {(2, 3): marker})
-    assert formula.flag_factor == CountPolynomial.one()
-    assert formula.fiber_exponent == 0
+    assert formula.factors == (marker,)
 
 
 def test_k2_11_unstable_stratum_is_a_point():
     beta = HNType(THETA, ((1, 0), (0, 1)))
     ones = {(1, 0): CountPolynomial.one(), (0, 1): CountPolynomial.one()}
     assert stratum_count_poly(kronecker(2), beta, ones) == CountPolynomial.one()
-    assert fiber_exponent(kronecker(2), beta) == 0
+    assert first_piece_factor(kronecker(2), (1, 1), (1, 0)) == \
+        CountPolynomial.one()
 
 
 def test_fiber_exponent_counts_upper_blocks():
     # pieces (1,1) then (1,2): each arrow contributes d^2_0 * d^1_1 = 1
-    beta = HNType(THETA, ((1, 1), (1, 2)))
-    assert fiber_exponent(kronecker(2), beta) == 2
-    assert fiber_exponent(a2_quiver(), beta) == 1
+    # free entry from the rest (1,2) into the first piece (1,1)
+    flags = (Q + 1) * (Q * Q + Q + 1)
+    assert first_piece_factor(kronecker(2), (2, 3), (1, 1)) == flags * Q * Q
+    assert first_piece_factor(a2_quiver(), (2, 3), (1, 1)) == flags * Q
 
 
 def test_parabolic_and_flag_factors():
-    beta = HNType(THETA, ((1, 1), (1, 2)))
-    # vertex 0 flag (1,1) and vertex 1 flag (1,2)
-    expected = (Q * (Q - 1) * (Q - 1)) * \
+    # vertex 0 flag (1,1) and vertex 1 flag (1,2); with no arrows the
+    # first-piece factor is the flag count alone, |G| / |parabolic|
+    parabolic = (Q * (Q - 1) * (Q - 1)) * \
         (Q * Q * (Q - 1) * (Q * Q - 1) * (Q * Q - Q))
-    assert parabolic_order_poly(beta) == expected
-    flags = flag_count_poly(beta)
+    flags = first_piece_factor(Quiver(2, ()), (2, 3), (1, 1))
     assert flags == (Q + 1) * (Q * Q + Q + 1)
+    assert flags * parabolic == group_order_poly((2, 3))
+
+
+def test_first_piece_factor():
+    assert first_piece_factor(kronecker(2), (2, 3), (2, 3)) == \
+        CountPolynomial.one()
+    assert first_piece_factor(Quiver(2, ()), (2, 3), (0, 0)) == \
+        CountPolynomial.one()
 
 
 def test_stratum_formula_missing_piece():
     beta = HNType(THETA, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         stratum_count_poly(kronecker(2), beta, {(1, 0): CountPolynomial.one()})
+
+
+def test_stratum_formula_stops_at_a_zero_piece():
+    # no semistable point of (1,0) means an empty stratum; the later
+    # piece is never read
+    beta = HNType(THETA, ((1, 0), (0, 1)))
+    formula = stratum_formula(kronecker(2), beta,
+                              {(1, 0): CountPolynomial.zero()})
+    assert formula.factors == (CountPolynomial.zero(),)
+    assert formula.polynomial() == CountPolynomial.zero()
 
 
 def test_semistable_polynomials():

@@ -1,13 +1,15 @@
-"""Property tests of the flag factor and the semistable recursion.
+"""Property tests of the stratum formulas and the semistable recursion.
 
 Random small quivers, loops and 2-cycles included, dimension vectors of
-total dimension at most 7 and characters.  The flag factor of every HN
-type, a product of cached per-vertex Gaussian multinomials, must equal
-the group order divided by the parabolic order, and every multinomial
-must count flags at q = 2..5.  The stratum polynomials of all HN types,
-built from the semistable counts the two-step recursion returns, must
-sum to the point count of the whole space.  The runs are derandomized
-and keep no example database, so they repeat exactly.
+total dimension at most 7 and characters.  Every stratum polynomial, a
+fold of the first-piece factor over the HN pieces, must equal the
+product form at q = 2..5: the flags of the type at each vertex, times
+q to the free arrow entries above the block diagonal, times the
+semistable counts of the pieces.  The stratum polynomials of all HN
+types, built from the semistable counts the two-step recursion returns,
+must sum to the point count of the whole space, and every nonzero
+semistable count must be monic of degree dim R(e).  The runs are
+derandomized and keep no example database, so they repeat exactly.
 """
 
 import tempfile
@@ -16,12 +18,13 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+import pytest
 
-from quivercount import (CountPolynomial, Quiver, enumerate_hn_types,
-                         flag_count_poly, gl_order, group_order_poly,
-                         parabolic_order_poly, rep_count_poly,
-                         semistable_count_polys, stratum_count_poly)
-from quivercount.counting import gaussian_multinomial
+from quivercount import (CountPolynomial, Quiver, TheoremViolation, counting,
+                         enumerate_hn_types, gl_order, kronecker,
+                         rep_count_poly, rep_space_dim, semistable_count_polys,
+                         stratum_count_poly)
+from quivercount.counting import gaussian_binomial
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -55,19 +58,37 @@ def flag_count(n, parts, q):
     return count
 
 
+def fiber_exponent(quiver, beta):
+    """Free arrow matrix entries once a flag of type beta is preserved:
+    the blocks from a later piece to an earlier one."""
+    pieces = beta.pieces
+    return sum(pieces[k][i] * pieces[l][j] for (i, j) in quiver.arrows
+               for k in range(len(pieces)) for l in range(k))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_gaussian_binomial_counts_subspaces(n):
+    for k in range(n + 1):
+        poly = gaussian_binomial(n, k)
+        assert all(type(c) is int for c in poly.coeffs)
+        for q in range(2, 6):
+            assert poly(q) == flag_count(n, (k, n - k), q)
+
+
 @DETERMINISTIC
 @given(problems())
-def test_flag_factor_is_group_order_over_parabolic_order(problem):
+def test_strata_match_the_product_form(problem):
+    # an oracle independent of the fold: the flags of the whole type at
+    # each vertex, one q-power and every semistable factor at once
     quiver, dims, theta = problem
+    ss = semistable_count_polys(quiver, dims, theta)
     for beta in enumerate_hn_types(quiver, dims, theta):
-        assert flag_count_poly(beta) == group_order_poly(
-            beta.ambient).div_exact(parabolic_order_poly(beta))
-        for i, n in enumerate(beta.ambient):
-            parts = tuple(sorted(p[i] for p in beta.pieces if p[i]))
-            poly = gaussian_multinomial(n, parts)
-            assert all(type(c) is int for c in poly.coeffs)
-            for q in range(2, 6):
-                assert poly(q) == flag_count(n, parts, q)
+        poly = stratum_count_poly(quiver, beta, ss)
+        for q in range(2, 6):
+            flags = prod(flag_count(n, [p[i] for p in beta.pieces], q)
+                         for i, n in enumerate(beta.ambient))
+            assert poly(q) == flags * q**fiber_exponent(quiver, beta) * prod(
+                ss[piece](q) for piece in beta.pieces)
 
 
 @DETERMINISTIC
@@ -80,3 +101,23 @@ def test_strata_from_the_recursion_sum_to_the_whole_space(problem):
     strata = (stratum_count_poly(quiver, beta, ss)
               for beta in enumerate_hn_types(quiver, dims, theta))
     assert sum(strata, CountPolynomial.zero()) == rep_count_poly(quiver, dims)
+
+
+@DETERMINISTIC
+@given(problems())
+def test_semistable_counts_are_monic_of_full_degree(problem):
+    # the check inside the recursion passes, and what it checks holds
+    quiver, dims, theta = problem
+    for e, poly in semistable_count_polys(quiver, dims, theta).items():
+        assert poly.is_zero() or (poly.degree, poly.coeffs[-1]) == (
+            rep_space_dim(quiver, e), 1)
+
+
+def test_a_non_monic_semistable_count_is_a_theorem_violation(monkeypatch):
+    # with a broken point count 2 q^N of R(e), the semistable count of
+    # (1, 0), which nothing destabilizes, is the constant 2
+    monkeypatch.setattr(counting, "rep_count_poly",
+                        lambda quiver, dims: CountPolynomial.monomial(
+                            rep_space_dim(quiver, dims), 2))
+    with pytest.raises(TheoremViolation, match="not monic of degree"):
+        semistable_count_polys(kronecker(2), (1, 1), (1, 0))
