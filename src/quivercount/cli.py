@@ -39,8 +39,7 @@ from .ffield import PRIME_POWER_LIMIT, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  Representation, check_rep_budget, check_tuple_budget,
-                  enumerate_reps)
+                  check_rep_budget, check_tuple_budget, enumerate_reps)
 from .stability import hn_filtration
 from .strata import classify_representations, enumerate_hn_types
 
@@ -158,7 +157,8 @@ def parse_representation(text, space):
     if len(data_lines) != len(expected):
         raise ProblemParseError(
             f"expected {len(expected)} matrix lines, got {len(data_lines)}")
-    mats = [None] * len(space.arrow_sizes)
+    # an arrow of matrix size 0 has no line: its matrix has only empty rows
+    mats = [((),) * rows for rows, _ in space.arrow_shapes]
     q = space.field.q
     for (lineno, line), (k, size) in zip(data_lines, expected):
         entries = _ints(line.split(), size, lineno)
@@ -166,11 +166,7 @@ def parse_representation(text, space):
             raise ProblemParseError(f"entry outside field of size {q}", lineno)
         rows, cols = space.arrow_shapes[k]
         mats[k] = tuple(entries[r * cols:(r + 1) * cols] for r in range(rows))
-    for k, size in enumerate(space.arrow_sizes):
-        if size == 0:
-            rows, cols = space.arrow_shapes[k]
-            mats[k] = tuple(() for _ in range(rows))
-    return Representation(space, tuple(mats))
+    return space.rep(space.index_of(mats))
 
 
 def parse_samples(text):

@@ -97,6 +97,14 @@ def stratum_count_poly(quiver, beta, ss_counts):
     return stratum_formula(quiver, beta, ss_counts).polynomial()
 
 
+def check_recursion_budget(dims):
+    """check_type_budget, then MAX_SEMISTABLE_PAIRS pairs e <= m <= dims."""
+    check_type_budget(dims)
+    if (pairs := prod((d + 1) * (d + 2) // 2 for d in dims)) > MAX_SEMISTABLE_PAIRS:
+        raise BudgetExceeded(f"{pairs} pairs of subvectors exceed the "
+                             f"semistable recursion budget {MAX_SEMISTABLE_PAIRS}")
+
+
 def semistable_count_polys(quiver, dims, theta):
     """Point count polynomials of semistable loci, as a dict keyed by
     dimension vector: dims and every piece of every type of dims.
@@ -140,10 +148,7 @@ def semistable_count_polys(quiver, dims, theta):
         return tables[m]
 
     dims = tuple(dims)
-    check_type_budget(dims)
-    if (pairs := prod((d + 1) * (d + 2) // 2 for d in dims)) > MAX_SEMISTABLE_PAIRS:
-        raise BudgetExceeded(f"{pairs} pairs of subvectors exceed the "
-                             f"semistable recursion budget {MAX_SEMISTABLE_PAIRS}")
+    check_recursion_budget(dims)
     table(dims)
     return {m: counts[0] for m, (_, counts) in tables.items()}
 
@@ -184,7 +189,7 @@ def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
     representations (see moduli_poly_from_semistable)."""
     dims = tuple(dims)
-    check_type_budget(dims)  # before the subvectors of dims are listed
+    check_recursion_budget(dims)  # before coprimality lists the subvectors
     _require_coprime(dims, theta)  # before the recursion
     return moduli_poly_from_semistable(
         dims, theta, semistable_count_poly(quiver, dims, theta))

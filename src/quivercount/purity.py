@@ -11,12 +11,15 @@ refutation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log2
 
+from .errors import BudgetExceeded
 from .polynomial import CountPolynomial
 
 STRONG = "strong-polynomial"
 PERIODIC = "periodic-polynomial"
 INCONCLUSIVE = "inconclusive"
+MAX_SAMPLE_BITS = 2**16  # of the largest field size base_q^n
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,9 @@ class CountSamples:
             raise ValueError("sample exponents must be positive")
         if any(c < 0 for _, c in pairs):
             raise ValueError("counts must be nonnegative")
+        if ns and ns[-1] * log2(self.base_q) > MAX_SAMPLE_BITS:
+            raise BudgetExceeded(f"{self.base_q}^{ns[-1]} exceeds the sample "
+                                 f"budget of {MAX_SAMPLE_BITS} bits")
 
     def points(self):
         return [(self.base_q**n, count) for n, count in self.samples]

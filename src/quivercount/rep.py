@@ -1,4 +1,4 @@
-"""Representations of a quiver over GF(q) as matrix tuples, and the
+"""Representations of a quiver over GF(q), named by index, and the
 exhaustive enumeration of representations, subspaces and
 subrepresentations.
 
@@ -10,7 +10,8 @@ Conventions fixed here and relied on everywhere else:
 * Representations are indexed 0 .. q^dim - 1: arrow 0 occupies the
   least significant base-q digits, each matrix flattened row-major
   (see linalg for the digit order).  enumerate_reps yields in
-  increasing index order.
+  increasing index order.  A point is its space and a range-checked
+  index; RepSpace.index_of is the checked path from matrices.
 * Subspaces are stored as reduced row echelon bases, so equal
   subspaces have identical storage and set-level deduplication is
   structural equality.
@@ -37,12 +38,11 @@ Conventions fixed here and relied on everywhere else:
   and keeps it as long as the representation.  A subspace tuple is
   closed under the arrow iff the table maps the codes of the source
   rows into the members of the target record.
-* Values derived from catalog data (subrepresentations, restrictions,
-  quotients, pullbacks, the points of a space) are built by trusted
-  internal constructors that skip validation; the public constructors
-  validate fully.  Dimension vectors of subspace tuples are computed
-  at most once, and tuples from enumerate_subreps carry their catalog
-  records (catalog_records).
+* Subspace tuples derived from catalog data (subrepresentations,
+  pullbacks) are built by trusted internal constructors that skip
+  validation; the public constructors validate fully.  Their dimension
+  vectors are computed at most once, and tuples from enumerate_subreps
+  carry their catalog records (catalog_records).
 """
 
 from bisect import bisect_left, bisect_right
@@ -98,19 +98,22 @@ class RepSpace:
 
     def rep(self, index):
         """The representation with the given index."""
-        if not 0 <= index < self.point_count:
-            raise ValueError(f"index {index} out of range")
-        q = self.field.q
-        mats = []
-        rest = index
-        for (rows, cols), size in zip(self.arrow_shapes, self.arrow_sizes):
-            rest, digit = divmod(rest, q**size)
-            mats.append(decode_matrix(digit, rows, cols, q))
-        return Representation._trusted(self, tuple(mats), index)
+        return Representation(self, index)
 
     def index_of(self, mats):
+        """The index of a matrix per arrow, each checked against the space."""
         q = self.field.q
-        return sum(encode_matrix(m, q) * s for m, s in zip(mats, self.arrow_strides))
+        if len(mats) != len(self.arrow_shapes):
+            raise ValueError("wrong number of matrices")
+        index = 0
+        for mat, (rows, cols), stride in zip(mats, self.arrow_shapes,
+                                             self.arrow_strides):
+            if len(mat) != rows or any(len(row) != cols for row in mat):
+                raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
+            if any(not 0 <= x < q for row in mat for x in row):
+                raise ValueError("matrix entry outside the field")
+            index += encode_matrix(mat, q) * stride
+        return index
 
     def zero_rep(self):
         return self.rep(0)
@@ -185,40 +188,30 @@ def _action_table(field, mat, n_src):
     return tuple(codes)
 
 
-@dataclass(frozen=True)
 class Representation:
-    """One point of the representation space: a matrix per arrow."""
+    """One point of the representation space, named by its index."""
 
-    space: RepSpace
-    mats: tuple
+    def __init__(self, space, index):
+        if not 0 <= index < space.point_count:
+            raise ValueError(f"index {index} out of range")
+        self.space = space
+        self.index = index
 
-    def __post_init__(self):
-        q = self.space.field.q
-        if len(self.mats) != len(self.space.arrow_shapes):
-            raise ValueError("wrong number of matrices")
-        norm = []
-        for mat, (rows, cols) in zip(self.mats, self.space.arrow_shapes):
-            mat = tuple(tuple(int(x) for x in row) for row in mat)
-            if len(mat) != rows or any(len(row) != cols for row in mat):
-                raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
-            if any(not 0 <= x < q for row in mat for x in row):
-                raise ValueError("matrix entry outside the field")
-            norm.append(mat)
-        object.__setattr__(self, "mats", tuple(norm))
+    def __eq__(self, other):
+        return (isinstance(other, Representation) and self.index == other.index
+                and self.space == other.space)
 
-    @classmethod
-    def _trusted(cls, space, mats, index=None):
-        M = object.__new__(cls)
-        attrs = M.__dict__
-        attrs["space"] = space
-        attrs["mats"] = mats
-        if index is not None:
-            attrs["index"] = index
-        return M
+    def __hash__(self):
+        return hash((self.space, self.index))
 
     @cached_property
-    def index(self):
-        return self.space.index_of(self.mats)
+    def mats(self):
+        """One matrix per arrow, decoded from the index."""
+        space = self.space
+        q = space.field.q
+        return tuple(decode_matrix(self.index // stride % q**size, rows, cols, q)
+                     for (rows, cols), size, stride in zip(
+                         space.arrow_shapes, space.arrow_sizes, space.arrow_strides))
 
     @property
     def dims(self):
@@ -360,8 +353,7 @@ def enumerate_reps(quiver, dims, field, max_reps=DEFAULT_MAX_REPS):
     """Yield every representation exactly once, in increasing index order."""
     space = RepSpace(quiver, dims, field)
     check_rep_budget(space, max_reps)
-    for index in range(space.point_count):
-        yield space.rep(index)
+    yield from map(space.rep, range(space.point_count))
 
 
 def enumerate_subspaces(n, k, field):
@@ -625,16 +617,19 @@ def _induced_rep(M, S, quotient):
     q = space.field.q
     new_dims = tuple(d - r.k if quotient else r.k
                      for d, r in zip(space.dims, records))
-    mats = []
-    for (s, t), act in zip(space.quiver.arrows, M.actions):
+    new_space = _space(space.quiver, new_dims, space.field)
+    index = 0
+    for (s, t), act, stride in zip(space.quiver.arrows, M.actions,
+                                   new_space.arrow_strides):
         sources = ([q**c for c in records[s].free_cols] if quotient
                    else records[s].codes)
         coords = records[t].coords
         cols = [coords[act[c]][quotient] for c in sources]
-        mats.append(tuple(tuple(col // q**i % q for col in cols)
-                          for i in range(new_dims[t])))
-    return Representation._trusted(_space(space.quiver, new_dims, space.field),
-                                   tuple(mats))
+        # entry (i, j) is digit i of column j, at digit i * len(cols) + j
+        index += stride * sum(col // q**i % q * q**(i * len(cols) + j)
+                              for j, col in enumerate(cols)
+                              for i in range(new_dims[t]))
+    return Representation(new_space, index)
 
 
 def quotient_rep(M, S):

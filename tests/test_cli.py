@@ -421,6 +421,10 @@ ARROWLESS_12 = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
 # reaches the semistable recursion over its 3^12 pairs (m, e)
 ARROWLESS_12_COPRIME = "vertices 12\ndim" + " 1" * 12 + "\ntheta" + "".join(
     f" {2**t}" for t in range(12)) + "\n"
+# 26 arrowless vertices under theta 1, 0, ..., 0: coprime, so the
+# coprimality check of moduli-poly would walk all 2^26 subvectors
+ARROWLESS_26_COPRIME = "vertices 26\ndim" + " 1" * 26 + "\ntheta 1" + (
+    " 0" * 25) + "\n"
 # a dimension past 10^8, and one past the C size of a range
 ARROW_1E8 = "vertices 2\narrow 0 1\ndim 100000000 1\ntheta 1 0\n"
 ARROW_1E20 = "vertices 2\narrow 0 1\ndim 100000000000000000000 1\ntheta 1 0\n"
@@ -443,11 +447,15 @@ ARROW_1E20 = "vertices 2\narrow 0 1\ndim 100000000000000000000 1\ntheta 1 0\n"
     (ARROWLESS_12_COPRIME, ["moduli-poly", "{problem}"],
      "531441 pairs of subvectors exceed the semistable recursion budget "
      "65536"),
+    (ARROWLESS_26_COPRIME, ["moduli-poly", "{problem}"],
+     "2541865828329 pairs of subvectors exceed the semistable recursion "
+     "budget 65536"),
     (ARROW_1E8, ["moduli-poly", "{problem}"], "exceeds the type budget 64"),
     (ARROW_1E20, ["moduli-poly", "{problem}"], "exceeds the type budget 64"),
 ], ids=["verify-k3", "stratify-point", "hn-point", "moduli-poly-k2",
         "verify-many-types", "stratify-many-types", "moduli-poly-many-pairs",
-        "moduli-poly-huge-dim", "moduli-poly-overflow"])
+        "moduli-poly-coprime-scan", "moduli-poly-huge-dim",
+        "moduli-poly-overflow"])
 def test_budgets_fail_before_the_long_work(tmp_path, text, command,
                                            expected):
     # listing the 23,410 HN types of K3 (12,13) alone takes over 6 s, the
@@ -456,7 +464,8 @@ def test_budgets_fail_before_the_long_work(tmp_path, text, command,
     # bits, and listing every HN type of the arrowless 12-vertex problem
     # runs past 60 s; without a budget the semistable recursion of its
     # coprime variant takes about 13 s to print 0; the coprimality check
-    # of moduli-poly lists every subvector of dim 100000000 1
+    # of moduli-poly lists every subvector of dim 100000000 1, and the 2^26
+    # subvectors of the arrowless 26-vertex problem for over 20 s
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"
@@ -581,6 +590,21 @@ def test_purity_fit_huge_period_fails_at_once(tmp_path):
     assert done.stdout == ""
     assert ("residue class 0 mod 100000000000 has 0 samples, need at "
             "least 2") in done.stderr
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_purity_fit_huge_exponent_fails_at_once(tmp_path, period):
+    # 2^10000000000 has 10^10 bits: the sample budget must fail before
+    # any power of base_q is computed, on both fitting paths
+    samples = tmp_path / "huge.samples"
+    samples.write_text("base_q 2\n1 3\n10000000000 5\n", encoding="utf-8")
+    done = _run_cli(["purity-fit", "--samples", str(samples), "--period",
+                     str(period), "--degree", "1"],
+                    timeout=5, preexec_fn=_limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert ("2^10000000000 exceeds the sample budget of 65536 bits"
+            in done.stderr)
 
 
 def test_missing_file_is_an_error(capsys):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from quivercount import (CountPolynomial, CountSamples, field_table,
-                         interpolate_poly, kronecker, strong_purity_check,
-                         torsor_orbit_count, weak_purity_periodic_fit)
+from quivercount import (BudgetExceeded, CountPolynomial, CountSamples,
+                         field_table, interpolate_poly, kronecker,
+                         strong_purity_check, torsor_orbit_count,
+                         weak_purity_periodic_fit)
 from quivercount.purity import INCONCLUSIVE, PERIODIC, STRONG
 
 from conftest import norm_one_torus_count
@@ -44,6 +45,9 @@ def test_count_samples_validation():
         CountSamples(2, ((0, 3),))
     with pytest.raises(ValueError):
         CountSamples(2, ((1, -3),))
+    with pytest.raises(BudgetExceeded, match="2\\^65537 exceeds the sample"):
+        CountSamples(2, ((2**16 + 1, 3),))
+    CountSamples(2, ((2**16, 3),))  # 2^65536: at the budget, not past it
     s = CountSamples(2, ((3, 9), (1, 3)))
     assert s.samples == ((1, 3), (3, 9))
     assert s.points() == [(2, 3), (8, 9)]

@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
-                         SubspaceTuple, associated_graded, enumerate_reps,
-                         enumerate_subreps, enumerate_subspaces, field_table,
-                         is_subrep, kronecker, quotient_rep, sub_rep)
+                         Representation, SubspaceTuple, associated_graded,
+                         enumerate_reps, enumerate_subreps,
+                         enumerate_subspaces, field_table, is_subrep,
+                         kronecker, quotient_rep, sub_rep)
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import _catalog, subspace_count
 
@@ -63,6 +64,28 @@ def test_rep_index_roundtrip(f3):
     for _ in range(20):
         idx = rng.randrange(space.point_count)
         assert space.rep(idx).index == idx
+
+
+def test_point_index_out_of_range(f3):
+    space = RepSpace(kronecker(2), (1, 2), f3)
+    for make in (space.rep, lambda i: Representation(space, i)):
+        for idx in (-1, space.point_count):
+            with pytest.raises(ValueError, match="out of range"):
+                make(idx)
+
+
+def test_index_of_checks_the_matrices(f3):
+    space = RepSpace(kronecker(2), (1, 2), f3)  # two 2x1 matrices
+    good = (((1,), (2,)), ((0,), (1,)))
+    assert space.rep(space.index_of(good)).mats == good
+    with pytest.raises(ValueError, match="wrong number of matrices"):
+        space.index_of(good[:1])
+    with pytest.raises(ValueError, match="expected 2x1"):
+        space.index_of((((1, 0),), ((0,), (1,))))
+    with pytest.raises(ValueError, match="expected 2x1"):
+        space.index_of((((1,), (2,), (0,)), ((0,), (1,))))
+    with pytest.raises(ValueError, match="outside the field"):
+        space.index_of((((1,), (3,)), ((0,), (1,))))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +228,8 @@ def test_quotient_by_zero_and_full(f3):
     M = space.rep(17)
     unchanged = quotient_rep(M, SubspaceTuple.zero(space.dims))
     assert unchanged.mats == M.mats
+    assert unchanged == M and hash(unchanged) == hash(M)
+    assert unchanged != space.rep(16)
     collapsed = quotient_rep(M, SubspaceTuple.full(space.dims))
     assert collapsed.space.dims == (0, 0)
 
