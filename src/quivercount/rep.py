@@ -38,11 +38,9 @@ Conventions fixed here and relied on everywhere else:
   and keeps it as long as the representation.  A subspace tuple is
   closed under the arrow iff the table maps the codes of the source
   rows into the members of the target record.
-* Subspace tuples derived from catalog data (subrepresentations,
-  pullbacks) are built by trusted internal constructors that skip
-  validation; the public constructors validate fully.  Their dimension
-  vectors are computed at most once, and tuples from enumerate_subreps
-  carry their catalog records (catalog_records).
+* A subspace tuple is its catalog record per vertex, and compares and
+  hashes by field, ambient and bases; SubspaceTuple.of is the checked
+  path from bases.
 """
 
 from bisect import bisect_left, bisect_right
@@ -69,12 +67,8 @@ class RepSpace:
     """The affine space of matrix tuples for (quiver, dims) over GF(q)."""
 
     def __init__(self, quiver, dims, field):
-        self._setup(quiver, check_vector(quiver, dims, "dimension vector"),
-                    field)
-
-    def _setup(self, quiver, dims, field):
         self.quiver = quiver
-        self.dims = dims
+        self.dims = check_vector(quiver, dims, "dimension vector")
         self.field = field
         self.arrow_shapes = tuple(
             (self.dims[t], self.dims[s]) for (s, t) in quiver.arrows)
@@ -110,7 +104,8 @@ class RepSpace:
                                              self.arrow_strides):
             if len(mat) != rows or any(len(row) != cols for row in mat):
                 raise ValueError(f"matrix shape mismatch: expected {rows}x{cols}")
-            if any(not 0 <= x < q for row in mat for x in row):
+            if any(not (isinstance(x, int) and 0 <= x < q)
+                   for row in mat for x in row):
                 raise ValueError("matrix entry outside the field")
             index += encode_matrix(mat, q) * stride
         return index
@@ -148,19 +143,9 @@ class RepSpace:
         return f"RepSpace({self.quiver!r}, dims={self.dims}, q={self.field.q})"
 
 
-@lru_cache(maxsize=256)
-def _space(quiver, dims, field):
-    """The space of a derived dimension vector, unvalidated and shared."""
-    space = object.__new__(RepSpace)
-    space._setup(quiver, dims, field)
-    return space
-
-
-@lru_cache(maxsize=256)
-def full_tuple(ambient):
-    """The full subspace tuple of a dimension vector (a tuple of ints),
-    one shared instance per vector."""
-    return SubspaceTuple.full(ambient)
+# the spaces of derived dimension vectors, shared so that each keeps its
+# record trees
+_space = lru_cache(maxsize=256)(RepSpace)
 
 
 def _action_table(field, mat, n_src):
@@ -192,6 +177,8 @@ class Representation:
     """One point of the representation space, named by its index."""
 
     def __init__(self, space, index):
+        if not isinstance(index, int):
+            raise ValueError(f"index {index!r} is not an integer")
         if not 0 <= index < space.point_count:
             raise ValueError(f"index {index} out of range")
         self.space = space
@@ -226,85 +213,71 @@ class Representation:
             for (_, cols), mat in zip(self.space.arrow_shapes, self.mats))
 
 
-@dataclass(frozen=True)
 class SubspaceTuple:
-    """A subspace of GF(q)^{d_i} per vertex, each stored as an RREF basis."""
+    """A subspace of GF(q)^{d_i} per vertex, held as its catalog record."""
 
-    ambient: tuple
-    bases: tuple
+    __slots__ = ("records", "dims", "total_dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", tuple(int(d) for d in self.ambient))
-        object.__setattr__(self, "bases", tuple(
-            tuple(tuple(int(x) for x in row) for row in basis)
-            for basis in self.bases))
-        if len(self.bases) != len(self.ambient):
+    def __init__(self, records):
+        self.records = records
+        self.dims = dims = tuple(map(_DIM, records))
+        self.total_dim = sum(dims)
+
+    @classmethod
+    def of(cls, field, ambient, bases):
+        """The tuple with the given RREF basis per vertex, looked up in the
+        catalogs of the ambient dimensions, which this builds; ValueError
+        unless each basis is the RREF basis of a subspace of GF(q)^n with
+        integer entries."""
+        if len(bases) != len(ambient):
             raise ValueError("one basis per vertex required")
-        for basis, n in zip(self.bases, self.ambient):
-            _check_rref(basis, n)
+        records = []
+        for n, basis in zip(ambient, bases):
+            basis = tuple(map(tuple, basis))
+            if not (isinstance(n, int)
+                    and all(isinstance(x, int) for row in basis for x in row)):
+                raise ValueError("subspace basis has a non-integer entry")
+            record = _catalog(field, n)[1].get(basis)
+            if record is None:
+                raise ValueError(f"{basis} is not the RREF basis of a "
+                                 f"subspace of GF({field.q})^{n}")
+            records.append(record)
+        return cls(tuple(records))
 
     @classmethod
-    def _trusted(cls, ambient, bases):
-        S = object.__new__(cls)
-        attrs = S.__dict__
-        attrs["ambient"] = ambient
-        attrs["bases"] = bases
-        return S
+    def zero(cls, field, ambient):
+        return cls(tuple(_catalog(field, n)[0][0] for n in ambient))
 
     @classmethod
-    def _from_records(cls, ambient, field, records):
-        S = cls._trusted(ambient, tuple(map(_ROWS, records)))
-        attrs = S.__dict__
-        attrs["dims"] = dims = tuple(map(_DIM, records))
-        attrs["total_dim"] = sum(dims)
-        attrs["_records"] = (field, records)
-        return S
+    def full(cls, field, ambient):
+        return cls(tuple(_catalog(field, n)[0][-1] for n in ambient))
 
-    @cached_property
-    def dims(self):
-        return tuple(len(basis) for basis in self.bases)
+    @property
+    def field(self):
+        return self.records[0].field
 
-    @cached_property
-    def total_dim(self):
-        return sum(self.dims)
+    @property
+    def ambient(self):
+        return tuple(r.n for r in self.records)
+
+    @property
+    def bases(self):
+        return tuple(map(_ROWS, self.records))
+
+    def __eq__(self, other):
+        # by value, not by record: an evicted catalog's records are rebuilt
+        return (isinstance(other, SubspaceTuple)
+                and self.field == other.field and self.ambient == other.ambient
+                and self.bases == other.bases)
+
+    def __hash__(self):
+        return hash((self.field.q, self.ambient, self.bases))
 
     def is_zero(self):
         return self.total_dim == 0
 
     def is_full(self):
         return self.dims == self.ambient
-
-    @classmethod
-    def zero(cls, ambient):
-        ambient = tuple(int(n) for n in ambient)
-        return cls._trusted(ambient, tuple(() for _ in ambient))
-
-    @classmethod
-    def full(cls, ambient):
-        ambient = tuple(int(n) for n in ambient)
-        return cls._trusted(ambient, tuple(_identity_basis(n) for n in ambient))
-
-
-def _identity_basis(n):
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
-
-def _check_rref(basis, n):
-    pivots = []
-    for row in basis:
-        if len(row) != n:
-            raise ValueError("basis row length does not match the ambient dimension")
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None or row[p] != 1:
-            raise ValueError("basis is not in reduced row echelon form")
-        if pivots and p <= pivots[-1]:
-            raise ValueError("pivot columns must strictly increase")
-        pivots.append(p)
-    for i, row in enumerate(basis):
-        for j, p in enumerate(pivots):
-            if j != i and row[p] != 0:
-                raise ValueError("pivot column not reduced")
-    return tuple(pivots)
 
 
 def pivots_of(basis):
@@ -384,43 +357,36 @@ def enumerate_subspaces(n, k, field):
 class SubspaceInfo:
     """Catalog record: an RREF basis plus derived data for fast scans."""
 
-    __slots__ = ("field", "rows", "codes", "pivots", "free_cols", "k",
+    __slots__ = ("field", "rows", "codes", "pivots", "free_cols", "n", "k",
                  "members", "_coords")
 
     def __init__(self, field, rows, n):
-        q = field.q
         self.field = field
         self._coords = None
         self.rows = rows
-        self.codes = tuple(encode_vector(row, q) for row in rows)
+        self.codes = tuple(encode_vector(row, field.q) for row in rows)
+        self.n = n
         self.k = len(rows)
         self.pivots = pivots_of(rows)
         piv = set(self.pivots)
         self.free_cols = tuple(c for c in range(n) if c not in piv)
-        add, mul = field.add_table, field.mul_table
-        members = set()
-        for coeffs in product(range(q), repeat=self.k):
-            v = [0] * n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    mc = mul[c]
-                    v = [add[x][mc[y]] for x, y in zip(v, row)]
-            members.add(encode_vector(v, q))
-        self.members = frozenset(members)
+        # the image of the map whose columns are the rows
+        self.members = frozenset(
+            _action_table(field, tuple(zip(*rows)), self.k))
 
     @property
     def coords(self):
         """Entry c: the (restriction, quotient) coordinate codes of the
-        vector with code c (see the module docstring)."""
+        vector with code c (see the module docstring), by inverting the
+        map (y, z) -> sum_r y[r] * row_r + sum_i z[i] * e_{free_i}."""
         if self._coords is None:
-            field, pivots, free = self.field, self.pivots, self.free_cols
-            q, n = field.q, self.k + len(free)
-            table = []
-            for c in range(q**n):
-                v = decode_vector(c, n, q)
-                rest = reduce_mod(field, self.rows, pivots, v)
-                table.append((encode_vector([v[p] for p in pivots], q),
-                              encode_vector([rest[f] for f in free], q)))
+            n, split = self.n, self.field.q**self.k
+            units = [tuple(int(j == f) for j in range(n))
+                     for f in self.free_cols]
+            act = _action_table(self.field, tuple(zip(*self.rows, *units)), n)
+            table = [None] * len(act)
+            for c, v in enumerate(act):
+                table[v] = (c % split, c // split)
             self._coords = tuple(table)
         return self._coords
 
@@ -474,25 +440,6 @@ def check_tuple_budget(dims, q, max_tuples):
         bits = candidates.bit_length() - 1
     raise BudgetExceeded(f"2^{bits} or more candidate subspace tuples "
                          f"exceed the budget {max_tuples}")
-
-
-def catalog_records(field, S):
-    """The catalog record of each subspace of S over the given field.
-
-    Tuples made by enumerate_subreps carry their records; any other
-    tuple is looked up by its bases once and then carries them too.
-    """
-    known = S.__dict__.get("_records")
-    if known is not None and known[0] is field:
-        return known[1]
-    try:
-        records = tuple(_catalog(field, n)[1][basis]
-                        for n, basis in zip(S.ambient, S.bases))
-    except KeyError:
-        raise ValueError(
-            f"subspace basis has entries outside GF({field.q})") from None
-    S.__dict__["_records"] = (field, records)
-    return records
 
 
 def is_subrep(M, S):
@@ -580,7 +527,7 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
                 continue
             chosen[i] = rec
             if j == last:
-                yield SubspaceTuple._from_records(dims, field, tuple(chosen))
+                yield SubspaceTuple(tuple(chosen))
             else:
                 yield from extend(j + 1, children[rec.k])
 
@@ -597,7 +544,9 @@ def _closed_records(M, S):
     space = M.space
     if S.ambient != space.dims:
         raise ValueError("subspace tuple and representation differ in dimensions")
-    records = catalog_records(space.field, S)
+    if S.field != space.field:
+        raise ValueError("subspace tuple and representation differ in field")
+    records = S.records
     for (s, t), act in zip(space.quiver.arrows, M.actions):
         members = records[t].members
         for c in records[s].codes:
@@ -643,24 +592,24 @@ def sub_rep(M, S):
     return _induced_rep(M, S, 0)
 
 
-def _image_in_sub_coords(field, outer, inner):
+def _image_in_sub_coords(outer, inner):
     """inner expressed in the restriction coordinates of outer (inner <=
     outer)."""
+    field = outer.field
     bases = []
-    for rec_in, rec_out in zip(catalog_records(field, inner),
-                               catalog_records(field, outer)):
+    for rec_in, rec_out in zip(inner.records, outer.records):
         coords = rec_out.coords
         rows = [decode_vector(coords[c][0], rec_out.k, field.q)
                 for c in rec_in.codes]
         bases.append(rref(field, rows)[0])
-    return SubspaceTuple._trusted(outer.dims, tuple(bases))
+    return SubspaceTuple.of(field, outer.dims, bases)
 
 
-def contains(field, outer, inner):
+def contains(outer, inner):
     """Whether each subspace of ``inner`` lies in the one of ``outer``:
     the member sets of their catalog records nest."""
-    return all(a.members <= b.members for a, b in zip(
-        catalog_records(field, inner), catalog_records(field, outer)))
+    return all(a.members <= b.members
+               for a, b in zip(inner.records, outer.records))
 
 
 def associated_graded(M, filtration):
@@ -670,7 +619,6 @@ def associated_graded(M, filtration):
     the filtration without ever constructing the subgroup: the graded
     pieces are exactly the diagonal blocks in adapted coordinates.
     """
-    field = M.space.field
     steps = filtration.steps
     if steps[0].ambient != M.space.dims:
         raise ValueError("filtration ambient does not match the representation")
@@ -678,28 +626,28 @@ def associated_graded(M, filtration):
         if not is_subrep(M, step):
             raise ValueError("filtration step is not a subrepresentation")
     for lower, upper in zip(steps, steps[1:]):
-        if not contains(field, upper, lower):
+        if not contains(upper, lower):
             raise ValueError("filtration steps are not nested")
     pieces = []
     for lower, upper in zip(steps, steps[1:]):
         restricted = sub_rep(M, upper)
-        lowered = _image_in_sub_coords(field, upper, lower)
+        lowered = _image_in_sub_coords(upper, lower)
         pieces.append(quotient_rep(restricted, lowered))
     return pieces
 
 
-def pullback(field, S, quotient_rows):
+def pullback(S, quotient_rows):
     """Lift a subspace given in quotient coordinates of S back to the
     ambient space, returning the enlarged subspace tuple."""
+    field = S.field
     bases = []
-    for n, rec, rows in zip(S.ambient, catalog_records(field, S),
-                            quotient_rows):
+    for rec, rows in zip(S.records, quotient_rows):
         if not rows:
             bases.append(rec.rows)
             continue
         lifted = []
         for row in rows:
-            v = [0] * n
+            v = [0] * rec.n
             for c, x in zip(rec.free_cols, row):
                 v[c] = x
             lifted.append(tuple(v))
@@ -707,4 +655,4 @@ def pullback(field, S, quotient_rows):
         # lifts are supported on free columns, so no rank can collapse
         assert len(combined) == rec.k + len(rows)
         bases.append(combined)
-    return SubspaceTuple._trusted(S.ambient, tuple(bases))
+    return SubspaceTuple.of(field, S.ambient, bases)

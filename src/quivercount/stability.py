@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .quiver import slope_ranks
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
-                  enumerate_subreps, full_tuple, pullback, quotient_rep)
+                  enumerate_subreps, pullback, quotient_rep)
 from .strata import HNType
 
 UNSTABLE = "unstable"
@@ -87,7 +87,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     above = frozenset(e for e, r in ranks.items() if r > mu)
     found = list(enumerate_subreps(M, max_tuples=max_tuples, admissible=above))
     if not found:
-        return full_tuple(M.space.dims)
+        return SubspaceTuple.full(M.space.field, M.space.dims)
     top = max(ranks[S.dims] for S in found)
     same_slope = [S for S in found if ranks[S.dims] == top]
     size = max(S.total_dim for S in same_slope)
@@ -98,7 +98,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
             f"(dims {[m.dims for m in maximizers]})")
     best = maximizers[0]
     for S in same_slope:
-        if not contains(M.space.field, best, S):
+        if not contains(best, S):
             raise TheoremViolation(
                 "maximal destabilizing subrepresentation does not contain a "
                 f"subrepresentation of equal slope (dims {S.dims})")
@@ -115,26 +115,26 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     trivial one-step type.
     """
     space = M.space
-    field = space.field
     if sum(space.dims) == 0:
         raise ValueError("the zero dimension vector has no filtration type")
-    steps = [SubspaceTuple.zero(space.dims)]
+    steps = []
     pieces = []
-    current = steps[0]
     quotient = M
     while True:
         T = maximal_destabilizing(quotient, theta, max_tuples=max_tuples)
-        # on the zero step the quotient is M itself, so T needs no lift
-        step = pullback(field, current, T.bases) if pieces else T
-        pieces.append(tuple(b - a for a, b in zip(current.dims, step.dims)))
+        # on the first step the quotient is M itself, so T needs no lift
+        step = pullback(steps[-1], T.bases) if steps else T
+        pieces.append(T.dims)
         steps.append(step)
         if step.is_full():
             break
-        current = step
-        quotient = quotient_rep(M, current)
+        quotient = quotient_rep(M, step)
     pieces = tuple(pieces)
     check_decreasing(slope_ranks(tuple(theta), space.dims), pieces)
-    return Filtration(tuple(steps)), HNType._trusted(tuple(theta), pieces)
+    # the zero step last: its catalogs are built only once the first
+    # search has checked the tuple budget
+    zero = SubspaceTuple.zero(space.field, space.dims)
+    return Filtration((zero, *steps)), HNType._trusted(tuple(theta), pieces)
 
 
 def check_decreasing(ranks, pieces):

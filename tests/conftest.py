@@ -68,13 +68,13 @@ def brute_force_filtrations(M, theta):
                 continue
             if not _semistable_cached(sub_rep(quotient, S), theta):
                 continue
-            step = pullback(field, current, S.bases)
+            step = pullback(current, S.bases)
             if step.is_full():
                 results.append(tuple(chain + [step]))
             else:
                 search(step, quotient_rep(M, step), mu, chain + [step])
 
-    search(SubspaceTuple.zero(space.dims), M, None, [])
+    search(SubspaceTuple.zero(field, space.dims), M, None, [])
     return results
 
 

@@ -335,17 +335,19 @@ POINT_300 = "vertices 1\ndim 300\ntheta 0\n"
     (POINT_300, ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
      "candidate subspace tuples exceed the budget 1048576"),
 ])
-def test_budget_errors_name_huge_counts_briefly(tmp_path, capsys, text,
-                                                command, expected):
-    # counts far past the 4300-digit limit of int to str conversion
+def test_budget_errors_name_huge_counts_briefly(tmp_path, text, command,
+                                                expected):
+    # counts far past the 4300-digit limit of int to str conversion; run
+    # in a child, so that a budget checked too late fails on the timeout
     problem = tmp_path / "big.problem"
     problem.write_text(text, encoding="utf-8")
     rep = tmp_path / "empty.rep"
     rep.write_text("", encoding="utf-8")
-    assert main([a.format(problem=problem, rep=rep) for a in command]) == 3
-    err = capsys.readouterr().err
-    assert expected in err
-    assert len(err.encode()) < 200
+    argv = [a.format(problem=problem, rep=rep) for a in command]
+    done = _run_cli(argv, timeout=5)
+    assert done.returncode == 3, done.stderr
+    assert expected in done.stderr
+    assert len(done.stderr.encode()) < 200
 
 
 @pytest.mark.parametrize("command", [

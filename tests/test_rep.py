@@ -166,7 +166,7 @@ def all_subspace_tuples(space):
          for basis in enumerate_subspaces(n, k, space.field)]
         for n in space.dims]
     for bases in product(*per_vertex):
-        yield SubspaceTuple(space.dims, bases)
+        yield SubspaceTuple.of(space.field, space.dims, bases)
 
 
 def test_subreps_a2_identity_map(f2):
@@ -226,18 +226,18 @@ def test_subrep_budget(f2):
 def test_quotient_by_zero_and_full(f3):
     space = RepSpace(kronecker(2), (1, 2), f3)
     M = space.rep(17)
-    unchanged = quotient_rep(M, SubspaceTuple.zero(space.dims))
+    unchanged = quotient_rep(M, SubspaceTuple.zero(space.field, space.dims))
     assert unchanged.mats == M.mats
     assert unchanged == M and hash(unchanged) == hash(M)
     assert unchanged != space.rep(16)
-    collapsed = quotient_rep(M, SubspaceTuple.full(space.dims))
+    collapsed = quotient_rep(M, SubspaceTuple.full(space.field, space.dims))
     assert collapsed.space.dims == (0, 0)
 
 
 def test_quotient_a2_example(f2):
     space = RepSpace(a2_quiver(), (1, 1), f2)
     M = space.rep(1)
-    S = SubspaceTuple((1, 1), ((), ((1,),)))  # dims (0, 1)
+    S = SubspaceTuple.of(f2, (1, 1), ((), ((1,),)))  # dims (0, 1)
     quotient = quotient_rep(M, S)
     assert quotient.space.dims == (1, 0)
     assert quotient.mats == ((),)
@@ -246,7 +246,7 @@ def test_quotient_a2_example(f2):
 def test_quotient_requires_subrep(f2):
     space = RepSpace(a2_quiver(), (1, 1), f2)
     M = space.rep(1)
-    not_closed = SubspaceTuple((1, 1), (((1,),), ()))
+    not_closed = SubspaceTuple.of(f2, (1, 1), (((1,),), ()))
     with pytest.raises(ValueError):
         quotient_rep(M, not_closed)
     with pytest.raises(ValueError):
@@ -256,17 +256,17 @@ def test_quotient_requires_subrep(f2):
 def test_associated_graded_trivial(f3):
     space = RepSpace(kronecker(2), (2, 1), f3)
     M = space.rep(42)
-    filt = Filtration((SubspaceTuple.zero(space.dims),
-                       SubspaceTuple.full(space.dims)))
+    filt = Filtration((SubspaceTuple.zero(space.field, space.dims),
+                       SubspaceTuple.full(space.field, space.dims)))
     assert associated_graded(M, filt) == [M]
 
 
 def test_associated_graded_zero_rep(f2):
     space = RepSpace(kronecker(2), (1, 1), f2)
     M = space.rep(0)
-    step = SubspaceTuple((1, 1), (((1,),), ()))
-    filt = Filtration((SubspaceTuple.zero((1, 1)), step,
-                       SubspaceTuple.full((1, 1))))
+    step = SubspaceTuple.of(f2, (1, 1), (((1,),), ()))
+    filt = Filtration((SubspaceTuple.zero(f2, (1, 1)), step,
+                       SubspaceTuple.full(f2, (1, 1))))
     pieces = associated_graded(M, filt)
     assert [p.space.dims for p in pieces] == [(1, 0), (0, 1)]
 
@@ -274,9 +274,9 @@ def test_associated_graded_zero_rep(f2):
 def test_associated_graded_a2(f2):
     space = RepSpace(a2_quiver(), (1, 1), f2)
     M = space.rep(1)
-    step = SubspaceTuple((1, 1), ((), ((1,),)))
-    filt = Filtration((SubspaceTuple.zero((1, 1)), step,
-                       SubspaceTuple.full((1, 1))))
+    step = SubspaceTuple.of(f2, (1, 1), ((), ((1,),)))
+    filt = Filtration((SubspaceTuple.zero(f2, (1, 1)), step,
+                       SubspaceTuple.full(f2, (1, 1))))
     pieces = associated_graded(M, filt)
     assert [p.space.dims for p in pieces] == [(0, 1), (1, 0)]
     assert all(all(not any(row) for row in mat) for p in pieces for mat in p.mats)
@@ -289,8 +289,8 @@ def test_associated_graded_dims_sum(f2):
         M = space.rep(rng.randrange(space.point_count))
         subreps = [S for S in enumerate_subreps(M) if 0 < S.total_dim < 4]
         for S in subreps[:3]:
-            filt = Filtration((SubspaceTuple.zero((2, 2)), S,
-                               SubspaceTuple.full((2, 2))))
+            filt = Filtration((SubspaceTuple.zero(f2, (2, 2)), S,
+                               SubspaceTuple.full(f2, (2, 2))))
             pieces = associated_graded(M, filt)
             total = tuple(map(sum, zip(*(p.space.dims for p in pieces))))
             assert total == (2, 2)
@@ -299,26 +299,73 @@ def test_associated_graded_dims_sum(f2):
 def test_associated_graded_rejects_non_subrep_step(f2):
     space = RepSpace(a2_quiver(), (1, 1), f2)
     M = space.rep(1)
-    step = SubspaceTuple((1, 1), (((1,),), ()))  # not closed under M
-    filt = Filtration((SubspaceTuple.zero((1, 1)), step,
-                       SubspaceTuple.full((1, 1))))
+    step = SubspaceTuple.of(f2, (1, 1), (((1,),), ()))  # not closed under M
+    filt = Filtration((SubspaceTuple.zero(f2, (1, 1)), step,
+                       SubspaceTuple.full(f2, (1, 1))))
     with pytest.raises(ValueError):
         associated_graded(M, filt)
 
 
-def test_filtration_validation():
+def test_filtration_validation(f2):
+    zero, full = SubspaceTuple.zero(f2, (1, 1)), SubspaceTuple.full(f2, (1, 1))
     with pytest.raises(ValueError):
-        Filtration((SubspaceTuple.zero((1, 1)),))
+        Filtration((zero,))
     with pytest.raises(ValueError):
-        Filtration((SubspaceTuple.zero((1, 1)), SubspaceTuple.zero((1, 1))))
+        Filtration((zero, zero))
     with pytest.raises(ValueError):
-        Filtration((SubspaceTuple.full((1, 1)), SubspaceTuple.zero((1, 1))))
+        Filtration((full, zero))
 
 
-def test_subspace_tuple_validation():
+def test_subspace_tuple_validation(f2, f3):
     with pytest.raises(ValueError):
-        SubspaceTuple((2,), (((2, 0),),))  # pivot entry not 1
+        SubspaceTuple.of(f3, (2,), (((2, 0),),))  # pivot entry not 1
     with pytest.raises(ValueError):
-        SubspaceTuple((2,), (((1, 0), (1, 1)),))  # pivot column not reduced
+        # pivot column not reduced
+        SubspaceTuple.of(f2, (2,), (((1, 0), (1, 1)),))
     with pytest.raises(ValueError):
-        SubspaceTuple((2, 2), (((1, 0),),))  # wrong vertex count
+        SubspaceTuple.of(f2, (2, 2), (((1, 0),),))  # wrong vertex count
+
+
+def test_subspace_entries_lie_in_the_field(f2, f3):
+    with pytest.raises(ValueError, match="not the RREF basis"):
+        SubspaceTuple.of(f2, (2,), (((1, 2),),))
+    assert SubspaceTuple.of(f3, (2,), (((1, 2),),)).dims == (1,)
+
+
+def test_non_integers_are_rejected(f3):
+    space = RepSpace(kronecker(2), (1, 1), f3)
+    with pytest.raises(ValueError, match="outside the field"):
+        space.index_of((((1.0,),), ((0,),)))
+    for make in (space.rep, lambda i: Representation(space, i)):
+        with pytest.raises(ValueError, match="not an integer"):
+            make(4.0)
+    for ambient, bases in (((2,), (((1, 1.5),),)), ((2,), (((1, 1.0),),)),
+                           ((2.0,), (((1, 1),),))):
+        with pytest.raises(ValueError, match="non-integer"):
+            SubspaceTuple.of(f3, ambient, bases)
+
+
+def test_quotient_rejects_a_tuple_over_another_field(f2, f3):
+    space = RepSpace(a2_quiver(), (1, 1), f2)
+    M = space.rep(1)
+    bases = ((), ((1,),))
+    same = SubspaceTuple.of(f2, (1, 1), bases)
+    assert quotient_rep(M, same).space.dims == (1, 0)
+    other = SubspaceTuple.of(f3, (1, 1), bases)
+    for induced in (quotient_rep, sub_rep):
+        with pytest.raises(ValueError, match="differ in field"):
+            induced(M, other)
+
+
+def test_enumerated_tuples_equal_their_checked_copies(f3):
+    space = RepSpace(kronecker(2), (1, 2), f3)
+    M = space.rep(5)
+    rebuilt = [_catalog.__wrapped__(f3, n)[1] for n in space.dims]
+    for S in enumerate_subreps(M):
+        T = SubspaceTuple.of(f3, space.dims, S.bases)
+        assert S == T and hash(S) == hash(T)
+        # records of a rebuilt catalog name the same tuple
+        fresh = SubspaceTuple(tuple(
+            by_rows[rows] for by_rows, rows in zip(rebuilt, S.bases)))
+        assert fresh.records != S.records
+        assert fresh == S and hash(fresh) == hash(S)

@@ -56,7 +56,7 @@ def definitional_subreps(M):
         [basis for k in range(n + 1)
          for basis in enumerate_subspaces(n, k, space.field)]
         for n in space.dims]
-    return {S for S in (SubspaceTuple(space.dims, bases)
+    return {S for S in (SubspaceTuple.of(space.field, space.dims, bases)
                         for bases in product(*per_vertex))
             if is_subrep(M, S)}
 
@@ -84,7 +84,7 @@ def test_enumeration_is_the_definitional_filter(point):
     nonzero = [S for S in subreps if S.total_dim > 0]
     top = max(slope(theta, S.dims) for S in nonzero)
     if top <= slope(theta, dims):
-        expected = SubspaceTuple.full(dims)
+        expected = SubspaceTuple.full(M.space.field, dims)
     else:
         size = max(S.total_dim for S in nonzero
                    if slope(theta, S.dims) == top)
@@ -209,7 +209,7 @@ def test_scan_rows_are_the_preserving_points(case):
         for n in dims]
     expected = {}
     for bases in product(*per_vertex):
-        S = SubspaceTuple(dims, bases)
+        S = SubspaceTuple.of(field, dims, bases)
         found = expected.setdefault(S.dims, Counter())
         for idx in range(space.point_count):
             M = space.rep(idx)

@@ -184,7 +184,7 @@ def _lowest_slope_subrep(M, theta, max_tuples=None):
     proper = [S for S in enumerate_subreps(M)
               if 0 < S.total_dim < sum(dims)]
     if not proper:
-        return SubspaceTuple.full(dims)
+        return SubspaceTuple.full(M.space.field, dims)
     return min(proper, key=lambda S: slope(theta, S.dims))
 
 
@@ -332,7 +332,7 @@ def test_block_tables_match_rep_conventions(q, dims):
     rng.shuffle(picks)
     for (i, j) in picks[:6]:
         recs = (catalogs[0][i], catalogs[1][j])
-        S = SubspaceTuple(dims, (recs[0].rows, recs[1].rows))
+        S = SubspaceTuple.of(field, dims, (recs[0].rows, recs[1].rows))
         lists = cls.triples(dims, S.dims, (i, j))
         size = 1
         for triples in lists:
