@@ -34,8 +34,10 @@ Conventions fixed here and relied on everywhere else:
   a record builds on first use.
 * The action table of an arrow s -> t of a representation is a tuple
   of q^{d_s} codes: entry c is the code of A v for the vector v with
-  code c.  Representation.actions builds one per arrow on first use
-  and keeps it as long as the representation.  A subspace tuple is
+  code c.  The tables are held on the space, one store per arrow keyed
+  by the arrow's digit block of the index (its code), so points that
+  share an arrow's matrix share its table; a store is cleared before it
+  would hold more than MAX_TABLE_ENTRIES entries.  A subspace tuple is
   closed under the arrow iff the table maps the codes of the source
   rows into the members of the target record.
 * A subspace tuple is its catalog record per vertex, and compares and
@@ -57,6 +59,7 @@ from .quiver import check_vector, rep_space_dim
 
 DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
+MAX_TABLE_ENTRIES = 2**14  # action-table entries per arrow's store on a space
 
 # readers of catalog records, for building subspace tuples from them
 _ROWS = attrgetter("rows")
@@ -74,6 +77,8 @@ class RepSpace:
             (self.dims[t], self.dims[s]) for (s, t) in quiver.arrows)
         self.arrow_sizes = tuple(r * c for (r, c) in self.arrow_shapes)
         self.dimension = rep_space_dim(quiver, self.dims)
+        # per arrow: the action table of each arrow code read so far
+        self.table_stores = tuple({} for _ in self.arrow_sizes)
 
     # built on first use, so a budget check can reject a space before
     # q^dimension is ever computed
@@ -206,11 +211,25 @@ class Representation:
 
     @cached_property
     def actions(self):
-        """One action table per arrow (see the module docstring)."""
-        field = self.space.field
-        return tuple(
-            _action_table(field, mat, cols)
-            for (_, cols), mat in zip(self.space.arrow_shapes, self.mats))
+        """One action table per arrow (see the module docstring), read
+        from the space's store and built only on a miss."""
+        space = self.space
+        field = space.field
+        q = field.q
+        tables = []
+        for (rows, cols), size, stride, store in zip(
+                space.arrow_shapes, space.arrow_sizes, space.arrow_strides,
+                space.table_stores):
+            code = self.index // stride % q**size
+            table = store.get(code)
+            if table is None:
+                table = _action_table(field, decode_matrix(code, rows, cols, q), cols)
+                if (len(store) + 1) * len(table) > MAX_TABLE_ENTRIES:
+                    store.clear()
+                if len(table) <= MAX_TABLE_ENTRIES:
+                    store[code] = table
+            tables.append(table)
+        return tuple(tables)
 
 
 class SubspaceTuple:
@@ -442,9 +461,19 @@ def check_tuple_budget(dims, q, max_tuples):
                          f"exceed the budget {max_tuples}")
 
 
+def _check_same_ambient(M, S):
+    """ValueError unless S lies in the vertex spaces of M, over its field."""
+    space = M.space
+    if S.ambient != space.dims:
+        raise ValueError("subspace tuple and representation differ in dimensions")
+    if S.field != space.field:
+        raise ValueError("subspace tuple and representation differ in field")
+
+
 def is_subrep(M, S):
     """Definitional check: every arrow maps S at its source into S at
-    its target."""
+    its target; ValueError when S and M differ in ambient or field."""
+    _check_same_ambient(M, S)
     field = M.space.field
     for (s, t), mat in zip(M.space.quiver.arrows, M.mats):
         target = S.bases[t]
@@ -541,13 +570,9 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
 def _closed_records(M, S):
     """The catalog records of S, once the action tables show that every
     arrow maps S into itself; ValueError otherwise."""
-    space = M.space
-    if S.ambient != space.dims:
-        raise ValueError("subspace tuple and representation differ in dimensions")
-    if S.field != space.field:
-        raise ValueError("subspace tuple and representation differ in field")
+    _check_same_ambient(M, S)
     records = S.records
-    for (s, t), act in zip(space.quiver.arrows, M.actions):
+    for (s, t), act in zip(M.space.quiver.arrows, M.actions):
         members = records[t].members
         for c in records[s].codes:
             if act[c] not in members:

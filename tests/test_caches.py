@@ -1,5 +1,11 @@
 """Every functools cache in the package has a bound, so a long run of
-many problems cannot grow one without limit."""
+many problems cannot grow one without limit.
+
+The scan below sees only functools caches.  The action-table stores a
+RepSpace holds per arrow are plain dicts, bounded by
+rep.MAX_TABLE_ENTRIES; tests/test_rep.py
+test_action_table_store_is_bounded checks that bound.
+"""
 
 import importlib
 import inspect

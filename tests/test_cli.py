@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quivercount import ProblemParseError, counting, rep_count_poly
+from quivercount import ProblemParseError, counting, rep, rep_count_poly
 from quivercount.cli import (main, parse_problem, parse_representation,
                              parse_samples)
 from quivercount.rep import RepSpace
@@ -410,6 +410,28 @@ def test_subspace_budget_is_checked_before_any_catalog(tmp_path, command):
     done = _run_cli(argv, timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert "candidate subspace tuples exceed the budget" in done.stderr
+
+
+def test_tuple_budget_comes_before_any_action_table(tmp_path, monkeypatch,
+                                                  capsys):
+    # A2 (20, 1) at q=2: the point's action table alone would have 2^20
+    # entries, and its subspace tuples are far over the budget
+    problem = tmp_path / "a2.problem"
+    problem.write_text("vertices 2\narrow 0 1\ndim 20 1\ntheta 1 0\n",
+                       encoding="utf-8")
+    point = tmp_path / "a2.rep"
+    point.write_text(" ".join(["1"] * 20) + "\n", encoding="utf-8")
+    build = rep._action_table
+
+    def guarded(field, mat, n_src):
+        # catalog records of GF(2)^1 build tables of at most 2 entries
+        if n_src == 20:
+            raise AssertionError("action table built before the tuple budget")
+        return build(field, mat, n_src)
+
+    monkeypatch.setattr(rep, "_action_table", guarded)
+    assert main(["hn", str(problem), "--rep", str(point), "--q", "2"]) == 3
+    assert "candidate subspace tuples exceed" in capsys.readouterr().err
 
 
 K3_1213 = "vertices 2\n" + "arrow 0 1\n" * 3 + "dim 12 13\ntheta 1 0\n"

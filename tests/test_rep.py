@@ -8,8 +8,9 @@ from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
                          enumerate_reps, enumerate_subreps,
                          enumerate_subspaces, field_table, is_subrep,
                          kronecker, quotient_rep, sub_rep)
-from quivercount.linalg import mat_vec, reduce_mod, rref
-from quivercount.rep import _catalog, subspace_count
+from quivercount.linalg import (decode_vector, encode_vector, mat_vec,
+                                reduce_mod, rref)
+from quivercount.rep import MAX_TABLE_ENTRIES, _catalog, subspace_count
 
 from conftest import a2_quiver
 
@@ -355,6 +356,39 @@ def test_quotient_rejects_a_tuple_over_another_field(f2, f3):
     for induced in (quotient_rep, sub_rep):
         with pytest.raises(ValueError, match="differ in field"):
             induced(M, other)
+
+
+def test_is_subrep_rejects_another_field_or_ambient(f2, f3):
+    # the checks of quotient_rep and sub_rep, with the same messages; the
+    # zero map would close both tuples
+    M = RepSpace(a2_quiver(), (2, 2), f2).rep(0)
+    other_field = SubspaceTuple.of(f3, (2, 2), ((), ((1, 2),)))
+    other_ambient = SubspaceTuple.zero(f2, (2, 3))
+    for S, message in ((other_field, "differ in field"),
+                       (other_ambient, "differ in dimensions")):
+        for check in (is_subrep, quotient_rep, sub_rep):
+            with pytest.raises(ValueError, match=message):
+                check(M, S)
+
+
+def test_action_table_store_is_bounded():
+    # one arrow with 4,096 codes of 16-entry tables: four times the cap
+    space = RepSpace(a2_quiver(), (2, 3), field_table(4))
+    (store,) = space.table_stores
+    assert space.point_count * 16 > 2 * MAX_TABLE_ENTRIES
+    sizes = []
+    for index in (*range(space.point_count), 0, 1):
+        M = space.rep(index)
+        (table,) = M.actions
+        assert len(store) * len(table) <= MAX_TABLE_ENTRIES
+        sizes.append(len(store))
+        (mat,) = M.mats
+        assert table == tuple(
+            encode_vector(mat_vec(space.field, mat, decode_vector(c, 2, 4)), 4)
+            for c in range(16))
+    # the store was cleared, and the tables read after a clear, of points
+    # 0 and 1 again among them, are still the arrow's maps
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_enumerated_tuples_equal_their_checked_copies(f3):

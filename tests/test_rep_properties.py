@@ -1,7 +1,7 @@
 """Property tests of the subspace and subrepresentation layer, the
 enumeration restricted to admissible dimension vectors included, of the
-scan, its rows of preserving points included, and of the direct route's
-counts, against the definitions.
+scan, its rows of preserving points included, of the action tables a
+space holds, and of the direct route's counts, against the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -23,7 +23,7 @@ from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          enumerate_subreps, enumerate_subspaces, field_table,
                          hn_filtration, is_semistable, is_stable, is_subrep,
                          maximal_destabilizing, quotient_rep, slope, sub_rep)
-from quivercount.linalg import decode_vector, encode_vector
+from quivercount.linalg import decode_vector, encode_vector, mat_vec
 from quivercount.rep import subspace_catalog
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
@@ -110,6 +110,43 @@ def test_enumeration_is_the_definitional_filter(point):
             assert stable.witness in equal
         else:
             assert stable == StabilityVerdict(STABLE)
+
+
+def assert_definitional_tables(M):
+    """Each action table of M, held or built, maps every code c to the
+    code of the arrow's matrix times the vector of code c."""
+    space = M.space
+    field, q = space.field, space.field.q
+    for act, mat, (_, cols) in zip(M.actions, M.mats, space.arrow_shapes):
+        assert act == tuple(
+            encode_vector(mat_vec(field, mat, decode_vector(c, cols, q)), q)
+            for c in range(q**cols))
+
+
+@DETERMINISTIC
+@given(points(), st.integers(0, 2**24), st.integers(0, 2**8))
+@example(_point(((0, 0),), (2,), 3, 5, (0,)), 40, 3)                  # a loop
+@example(_point(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0)), 9000, 1)   # a 2-cycle
+@example(_point(((0, 1), (0, 2)), (1, 0, 2), 3, 4, (0, 0, 0)), 7, 2)  # size 0
+def test_held_tables_are_the_definitional_ones(point, other, choice):
+    M, _ = point
+    space = M.space
+    assert_definitional_tables(M)
+    if space.quiver.arrows:
+        # a second point with M's matrix at arrow k and other's elsewhere
+        # reads arrow k's table from the store
+        k = choice % len(space.quiver.arrows)
+        stride = space.arrow_strides[k]
+        block = space.field.q**space.arrow_sizes[k]
+        other %= space.point_count
+        N = space.rep(other + stride * (M.index // stride % block
+                                        - other // stride % block))
+        assert N.actions[k] is M.actions[k]
+        assert_definitional_tables(N)
+    # a quotient point, whose space is shared by every quotient of its
+    # dimension vector
+    subreps = list(enumerate_subreps(M))
+    assert_definitional_tables(quotient_rep(M, subreps[choice % len(subreps)]))
 
 
 @st.composite
