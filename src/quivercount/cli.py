@@ -462,7 +462,8 @@ def build_parser():
     p.add_argument("--q", required=True, type=int, help="field size")
     p.add_argument("--engine", choices=("scan", "direct"), default="scan")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker processes for the point-by-point engine")
+                   help="worker processes for the point-by-point engine, "
+                        "at most the CPU count")
 
     p = add("moduli-poly", _cmd_moduli_poly,
             "print the moduli counting polynomial (coprime case)")
@@ -473,7 +474,8 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--qmax", type=int, help="check all prime powers <= QMAX")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker processes for the point-by-point engine")
+                   help="worker processes for the point-by-point engine, "
+                        "at most the CPU count")
 
     p = add("purity-fit", _cmd_purity_fit,
             "fit sampled counts by a (periodic) polynomial in q^n")

@@ -17,10 +17,12 @@ Two independent routes compute the stratum table:
   coordinates of the catalog records' coords tables (see the rep module
   docstring).  Per arrow a block table lists the preserving matrices
   with their restriction and quotient blocks, scaled by strides to
-  (index, restriction, quotient) triples.  Points come in rows: a row
-  fixes every arrow but arrow 0, whose stride is 1, and its points are
-  its offsets plus each triple of arrow 0's list, a loop the scan runs
-  inline.  A point's type id is 0 while it is free.  A type's first
+  (index, restriction, quotient) triples.  A table is built in codes: a
+  preserving matrix is the images of the source basis times the source's
+  coordinate map, one action-table lookup per row.  Points come in rows:
+  a row fixes every arrow but arrow 0, whose stride is 1, and its points
+  are its offsets plus each triple of arrow 0's list, a loop the scan
+  runs inline.  A point's type id is 0 while it is free.  A type's first
   piece fixes its group, so the ids a group interns exceed every earlier
   group's, and an id at least the group's first id is a second hit
   inside the claiming group, which breaks uniqueness.  On the first hit
@@ -35,87 +37,67 @@ semistable subquotients and strictly decreasing slopes (the uniqueness
 oracle for the filtration procedure).
 """
 
+import os
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
 from itertools import product
 
 from . import stability
 from .errors import BudgetExceeded, TheoremViolation
-from .linalg import decode_vector, encode_matrix
+from .linalg import action_table, decode_vector, encode_columns
 from .quiver import nonzero_subvectors, slope, slope_ranks, total_dim
-from .rep import (_DIM, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  check_rep_budget, check_tuple_budget, quotient_rep,
-                  subspace_catalog)
+from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
+                  catalog_range, check_rep_budget, check_tuple_budget,
+                  quotient_rep, subspace_catalog)
 from .strata import MAX_TYPES, HNType, trivial_type
 
 MAX_TYPE_ID = MAX_TYPES - 1  # the largest id that type_ids, an array("h"), holds
 
 
 class BlockTable:
-    """All matrices carrying a fixed source subspace into a fixed target
-    subspace, tabulated with the restriction and quotient blocks.
+    """All matrices carrying the source record's subspace into the target
+    record's, tabulated with their restriction and quotient blocks.
 
     ``by_sub`` maps the encoded restricted map (in the subspace bases)
     to the pairs (encoded matrix, encoded quotient map in the free
     coordinates) with that restriction, in the coordinates of the target
     record's coords table, which sub_rep and quotient_rep read too.
+
+    A preserving matrix is A = M C, built in codes: the columns of M are
+    the images of the source basis (its RREF rows, each sent into the
+    target by a restriction coordinate, then its free unit vectors, each
+    sent anywhere), and row j of C is the coordinate vector of e_j in
+    that basis, read from the source's coords table.  So row i of A is
+    the action table of C at row i of M.
     """
 
     __slots__ = ("by_sub",)
 
-    def __init__(self, field, n_src, n_tgt, src, tgt):
-        q = field.q
-        add, mul, neg = field.add_table, field.mul_table, field.neg_table
-        ks, kt = src.k, tgt.k
-        free_s = src.free_cols
-        fs, ft = len(free_s), n_tgt - kt
-
-        # every target vector, its quotient coordinate, and the member
-        # vectors by restriction coordinate
-        vecs = [decode_vector(enc, n_tgt, q) for enc in range(q**n_tgt)]
+    def __init__(self, src, tgt):
+        field, q = src.field, src.field.q
+        n, ks, kt, nt = src.n, src.k, tgt.k, tgt.n
+        # the target vector sum_r y[r] * row_r by restriction coordinate y
+        span = action_table(field, tuple(zip(*tgt.rows)), kt)
+        # C: row j is the coordinate vector of e_j, its y digits then its z
+        times_c = action_table(field, [
+            decode_vector(y + z * q**ks, n, q)
+            for y, z in (src.coords[q**j] for j in range(n))], n)
         zs = [z for _, z in tgt.coords]
-        span = [None] * q**kt
-        for v, (y, z) in zip(vecs, tgt.coords):
-            if z == 0:
-                span[y] = v
-
-        # digit -> contribution lookups for the encoded U and W blocks
-        u_contrib = [
-            [sum(((y // q**s) % q) * q**(s * ks + r) for s in range(kt))
-             for y in range(q**kt)]
-            for r in range(ks)]
-        w_contrib = [
-            [sum(((z // q**t) % q) * q**(t * fs + ci) for t in range(ft))
-             for z in range(q**ft)]
-            for ci in range(fs)]
-
+        # per choice of free images: the free columns of M, and W
+        free = [(encode_columns((0,) * ks + f, nt, q),
+                 encode_columns([zs[c] for c in f], nt - kt, q))
+                for f in product(range(q**nt), repeat=n - ks)]
+        row_weights = [q**(i * n) for i in range(nt)]
+        width = q**n
         self.by_sub = {}
-        pivots_src = src.pivots
-        rows_src = src.rows
-        for u_cols in product(range(q**kt), repeat=ks):
-            u_idx = sum(u_contrib[r][y] for r, y in enumerate(u_cols))
-            base_imgs = [span[y] for y in u_cols]
-            pairs = self.by_sub[u_idx] = []
-            for f_cols in product(range(q**n_tgt), repeat=fs):
-                cols = [None] * n_src
-                for ci, enc in enumerate(f_cols):
-                    cols[free_s[ci]] = vecs[enc]
-                for r, p in enumerate(pivots_src):
-                    vec = list(base_imgs[r])
-                    for ci in range(fs):
-                        coef = rows_src[r][free_s[ci]]
-                        if coef:
-                            cm = mul[coef]
-                            img = cols[free_s[ci]]
-                            vec = [add[x][neg[cm[y]]] for x, y in zip(vec, img)]
-                    cols[p] = vec
-                mat = tuple(tuple(cols[j][i] for j in range(n_src))
-                            for i in range(n_tgt))
-                w_idx = sum(w_contrib[ci][zs[enc]]
-                            for ci, enc in enumerate(f_cols))
-                pairs.append((encode_matrix(mat, q), w_idx))
+        for u in product(range(q**kt), repeat=ks):
+            # the row columns of M, at digits disjoint from the free ones
+            m_u = encode_columns([span[y] for y in u] + [0] * (n - ks), nt, q)
+            self.by_sub[encode_columns(u, kt, q)] = [
+                (sum(times_c[(m_u + m_f) // r % width] * r
+                     for r in row_weights), w)
+                for m_f, w in free]
 
 
 class SpaceTable:
@@ -168,7 +150,6 @@ class ScanClassifier:
             table = self.block_tables.get(key)
             if table is None:
                 table = self.block_tables[key] = BlockTable(
-                    field, dims[s], dims[t],
                     subspace_catalog(field, dims[s])[ords[s]],
                     subspace_catalog(field, dims[t])[ords[t]])
             lists.append([(a * ps, u * ss, w * qs)
@@ -185,11 +166,7 @@ class ScanClassifier:
         w0 + w) for (i, u, w) in ``last``, arrow 0's triple list, a loop
         the caller runs.  An arrowless quiver has one point, the empty sum.
         """
-        per_vertex = []
-        for n, k in zip(dims, e):
-            catalog = subspace_catalog(self.field, n)
-            per_vertex.append(range(bisect_left(catalog, k, key=_DIM),
-                                    bisect_right(catalog, k, key=_DIM)))
+        per_vertex = [catalog_range(self.field, n, k) for n, k in zip(dims, e)]
         for ords in product(*per_vertex):
             last, *outer = self.triples(dims, e, ords) or [[(0, 0, 0)]]
             for combo in product(*outer):
@@ -321,11 +298,12 @@ def classify_direct(quiver, dims, theta, field, workers=1,
                     max_reps=DEFAULT_MAX_REPS, max_tuples=DEFAULT_MAX_TUPLES):
     """Stratum counts via the filtration procedure on every point.
 
-    With ``workers`` > 1 the index range is split over a process pool;
-    partial tables merge by addition.
+    With ``workers`` > 1 the index range is split over a process pool of
+    at most os.cpu_count() processes; partial tables merge by addition.
     """
     dims = tuple(dims)
     theta = tuple(theta)
+    workers = min(workers, os.cpu_count() or 1)
     space = RepSpace(quiver, dims, field)
     check_rep_budget(space, max_reps)
     N = space.point_count

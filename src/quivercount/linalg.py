@@ -7,6 +7,10 @@ table lookups over any clever packing.
 Index encodings (used for bulk enumeration):
   vector v of length n   ->  sum_k v[k] * q^k
   matrix, row-major      ->  entry (i, j) contributes at digit i*n + j
+  encode_columns         ->  the same matrix index from the codes of the
+                             columns: digit i of column j goes to digit i*n + j
+  action_table           ->  a matrix as a map of codes: entry c is the
+                             code of mat * v for the vector v with code c
 """
 
 
@@ -95,6 +99,39 @@ def encode_matrix(mat, q):
     return encode_vector(flat, q)
 
 
+def encode_columns(cols, rows, q):
+    """The index of the rows x len(cols) matrix whose column j has code
+    cols[j]."""
+    n = len(cols)
+    return sum(col // q**i % q * q**(i * n + j)
+               for j, col in enumerate(cols) for i in range(rows))
+
+
 def decode_matrix(idx, rows, cols, q):
     flat = decode_vector(idx, rows * cols, q)
     return tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def action_table(field, mat, n_src):
+    """The code of mat * v for every v in GF(q)^{n_src}, by code of v.
+
+    Row by row, the value on the vectors below q^(j+1) is built from
+    the value below q^j: code a*q^j + r adds mat[i][j]*a to the entry
+    at r.
+    """
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    codes = [0] * q**n_src
+    weight = 1
+    for row in mat:
+        values = [0]
+        for m in row:
+            scaled = mul[m]
+            base = values
+            values = list(base)
+            for a in range(1, q):
+                shift = add[scaled[a]]
+                values += [shift[x] for x in base]
+        codes = [c + weight * v for c, v in zip(codes, values)]
+        weight *= q
+    return tuple(codes)

@@ -32,14 +32,14 @@ Conventions fixed here and relied on everywhere else:
   quotient coordinate, and z = 0 exactly on the members.  Restrictions,
   quotients and the scan's block tables all read this one table, which
   a record builds on first use.
-* The action table of an arrow s -> t of a representation is a tuple
-  of q^{d_s} codes: entry c is the code of A v for the vector v with
-  code c.  The tables are held on the space, one store per arrow keyed
-  by the arrow's digit block of the index (its code), so points that
-  share an arrow's matrix share its table; a store is cleared before it
-  would hold more than MAX_TABLE_ENTRIES entries.  A subspace tuple is
-  closed under the arrow iff the table maps the codes of the source
-  rows into the members of the target record.
+* The action table of an arrow s -> t of a representation is the
+  arrow's matrix as a map of codes (linalg.action_table).  The tables
+  are held on the space, one store per arrow keyed by the arrow's digit
+  block of the index (its code), so points that share an arrow's matrix
+  share its table; a store is cleared before it would hold more than
+  MAX_TABLE_ENTRIES entries.  A subspace tuple is closed under the
+  arrow iff the table maps the codes of the source rows into the
+  members of the target record.
 * A subspace tuple is its catalog record per vertex, and compares and
   hashes by field, ambient and bases; SubspaceTuple.of is the checked
   path from bases.
@@ -53,8 +53,9 @@ from math import prod
 from operator import attrgetter
 
 from .errors import BudgetExceeded
-from .linalg import (decode_matrix, decode_vector, encode_matrix,
-                     encode_vector, mat_vec, reduce_mod, rref)
+from .linalg import (action_table, decode_matrix, decode_vector,
+                     encode_columns, encode_matrix, encode_vector, mat_vec,
+                     reduce_mod, rref)
 from .quiver import check_vector, rep_space_dim
 
 DEFAULT_MAX_REPS = 2**24
@@ -153,31 +154,6 @@ class RepSpace:
 _space = lru_cache(maxsize=256)(RepSpace)
 
 
-def _action_table(field, mat, n_src):
-    """The code of mat * v for every v in GF(q)^{n_src}, by code of v.
-
-    Row by row, the value on the vectors below q^(j+1) is built from
-    the value below q^j: code a*q^j + r adds mat[i][j]*a to the entry
-    at r.
-    """
-    q = field.q
-    add, mul = field.add_table, field.mul_table
-    codes = [0] * q**n_src
-    weight = 1
-    for row in mat:
-        values = [0]
-        for m in row:
-            scaled = mul[m]
-            base = values
-            values = list(base)
-            for a in range(1, q):
-                shift = add[scaled[a]]
-                values += [shift[x] for x in base]
-        codes = [c + weight * v for c, v in zip(codes, values)]
-        weight *= q
-    return tuple(codes)
-
-
 class Representation:
     """One point of the representation space, named by its index."""
 
@@ -223,7 +199,7 @@ class Representation:
             code = self.index // stride % q**size
             table = store.get(code)
             if table is None:
-                table = _action_table(field, decode_matrix(code, rows, cols, q), cols)
+                table = action_table(field, decode_matrix(code, rows, cols, q), cols)
                 if (len(store) + 1) * len(table) > MAX_TABLE_ENTRIES:
                     store.clear()
                 if len(table) <= MAX_TABLE_ENTRIES:
@@ -391,7 +367,7 @@ class SubspaceInfo:
         self.free_cols = tuple(c for c in range(n) if c not in piv)
         # the image of the map whose columns are the rows
         self.members = frozenset(
-            _action_table(field, tuple(zip(*rows)), self.k))
+            action_table(field, tuple(zip(*rows)), self.k))
 
     @property
     def coords(self):
@@ -402,7 +378,7 @@ class SubspaceInfo:
             n, split = self.n, self.field.q**self.k
             units = [tuple(int(j == f) for j in range(n))
                      for f in self.free_cols]
-            act = _action_table(self.field, tuple(zip(*self.rows, *units)), n)
+            act = action_table(self.field, tuple(zip(*self.rows, *units)), n)
             table = [None] * len(act)
             for c, v in enumerate(act):
                 table[v] = (c % split, c // split)
@@ -427,6 +403,15 @@ def subspace_catalog(field, n):
     enumerate_subspaces; the order is deterministic.
     """
     return _catalog(field, n)[0]
+
+
+def catalog_range(field, n, k):
+    """The ordinals of the k-dimensional subspaces in
+    subspace_catalog(field, n), a range since the catalog is ordered by
+    dimension."""
+    catalog = subspace_catalog(field, n)
+    return range(bisect_left(catalog, k, key=_DIM),
+                 bisect_right(catalog, k, key=_DIM))
 
 
 @lru_cache(maxsize=256)
@@ -499,12 +484,12 @@ def _record_tree(space, admissible):
     order = [level[0] for level in levels]
 
     def build(j, paths):
-        catalog, children, records = levels[j][1], {}, []
+        (i, catalog, _, _), children, records = levels[j], {}, []
         for path in paths:
             children.setdefault(path[0], set()).add(path[1:])
         for k in sorted(children):
-            records += catalog[bisect_left(catalog, k, key=_DIM):
-                               bisect_right(catalog, k, key=_DIM)]
+            ords = catalog_range(space.field, space.dims[i], k)
+            records += catalog[ords.start:ords.stop]
             children[k] = build(j + 1, children[k]) if len(path) > 1 else None
         return tuple(records), children
 
@@ -598,11 +583,8 @@ def _induced_rep(M, S, quotient):
         sources = ([q**c for c in records[s].free_cols] if quotient
                    else records[s].codes)
         coords = records[t].coords
-        cols = [coords[act[c]][quotient] for c in sources]
-        # entry (i, j) is digit i of column j, at digit i * len(cols) + j
-        index += stride * sum(col // q**i % q * q**(i * len(cols) + j)
-                              for j, col in enumerate(cols)
-                              for i in range(new_dims[t]))
+        index += stride * encode_columns(
+            [coords[act[c]][quotient] for c in sources], new_dims[t], q)
     return Representation(new_space, index)
 
 

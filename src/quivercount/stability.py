@@ -134,7 +134,7 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     # the zero step last: its catalogs are built only once the first
     # search has checked the tuple budget
     zero = SubspaceTuple.zero(space.field, space.dims)
-    return Filtration((zero, *steps)), HNType._trusted(tuple(theta), pieces)
+    return Filtration((zero, *steps)), HNType(tuple(theta), pieces)
 
 
 def check_decreasing(ranks, pieces):

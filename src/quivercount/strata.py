@@ -42,13 +42,6 @@ class HNType:
         if any(a <= b for a, b in zip(mus, mus[1:])):
             raise ValueError("slopes must strictly decrease")
 
-    @classmethod
-    def _trusted(cls, theta, pieces):
-        """A type from tuples of ints already known to be valid."""
-        beta = object.__new__(cls)
-        beta.__dict__.update(theta=theta, pieces=pieces)
-        return beta
-
     @property
     def slopes(self):
         return tuple(slope(self.theta, piece) for piece in self.pieces)
@@ -123,7 +116,7 @@ def enumerate_hn_types(quiver, dims, theta):
     if len(found) > MAX_TYPES:
         raise BudgetExceeded(f"more than {MAX_TYPES} HN types of {dims} "
                              f"exceed the type-count budget")
-    types = [HNType._trusted(theta, pieces) for pieces in found]
+    types = [HNType(theta, pieces) for pieces in found]
     types.sort(key=HNType.sort_key)
     return types
 

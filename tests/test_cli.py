@@ -421,7 +421,7 @@ def test_tuple_budget_comes_before_any_action_table(tmp_path, monkeypatch,
                        encoding="utf-8")
     point = tmp_path / "a2.rep"
     point.write_text(" ".join(["1"] * 20) + "\n", encoding="utf-8")
-    build = rep._action_table
+    build = rep.action_table
 
     def guarded(field, mat, n_src):
         # catalog records of GF(2)^1 build tables of at most 2 entries
@@ -429,7 +429,7 @@ def test_tuple_budget_comes_before_any_action_table(tmp_path, monkeypatch,
             raise AssertionError("action table built before the tuple budget")
         return build(field, mat, n_src)
 
-    monkeypatch.setattr(rep, "_action_table", guarded)
+    monkeypatch.setattr(rep, "action_table", guarded)
     assert main(["hn", str(problem), "--rep", str(point), "--q", "2"]) == 3
     assert "candidate subspace tuples exceed" in capsys.readouterr().err
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from quivercount import field_table
-from quivercount.linalg import (decode_matrix, decode_vector, encode_matrix,
-                                encode_vector, mat_vec, reduce_mod, rref)
+from quivercount.linalg import (action_table, decode_matrix, decode_vector,
+                                encode_columns, encode_matrix, encode_vector,
+                                mat_vec, reduce_mod, rref)
 
 
 def random_matrix(rng, rows, cols, q):
@@ -74,3 +75,31 @@ def test_encode_decode_roundtrip(q):
         assert decode_matrix(encode_matrix(mat, q), rows, cols, q) == mat
     assert encode_vector((), q) == 0
     assert decode_matrix(0, 0, 3, q) == ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_encode_columns_is_the_index_of_the_columns(q):
+    # at q = 4 the digits of a code do not add as field elements
+    rng = random.Random(31 + q)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)]
+    shapes += [(rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(30)]
+    for rows, cols in shapes:
+        codes = [rng.randrange(q**rows) for _ in range(cols)]
+        columns = [decode_vector(code, rows, q) for code in codes]
+        mat = tuple(tuple(col[i] for col in columns) for i in range(rows))
+        assert encode_columns(codes, rows, q) == encode_matrix(mat, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_action_table_is_mat_vec_on_every_code(q):
+    field = field_table(q)
+    rng = random.Random(47 + q)
+    shapes = [(0, 2), (2, 0), (1, 1)]
+    shapes += [(rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(12)]
+    for rows, cols in shapes:
+        mat = random_matrix(rng, rows, cols, q)
+        table = action_table(field, mat, cols)
+        assert len(table) == q**cols
+        for code, image in enumerate(table):
+            v = decode_vector(code, cols, q)
+            assert image == encode_vector(mat_vec(field, mat, v), q)

@@ -2,6 +2,8 @@ import random
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -177,6 +179,35 @@ def test_classify_direct_workers(f2, f3, monkeypatch):
     assert seq == par
 
 
+def test_classify_direct_caps_workers_at_the_cpu_count(f2, monkeypatch):
+    import concurrent.futures
+    import os
+
+    # a pool that starts no process: it records its size and maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    quiver = kronecker(2)
+    serial = classify_direct(quiver, (2, 3), THETA, f2, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert classify_direct(quiver, (2, 3), THETA, f2, workers=10**6) == serial
+    # one pool of one process per CPU; on one CPU no pool at all
+    cpus = os.cpu_count() or 1
+    assert sizes == ([cpus] if cpus > 1 else [])
+
+
 def _lowest_slope_subrep(M, theta, max_tuples=None):
     """A broken maximal_destabilizing: the proper nonzero subrepresentation
     of least slope, so the pieces' slopes come out increasing."""
@@ -314,36 +345,51 @@ def reference_blocks(M, S):
             RepSpace(space.quiver, quot_dims, field).index_of(quot_mats))
 
 
-@pytest.mark.parametrize("q,dims", [(2, (2, 2)), (3, (2, 1)), (2, (2, 3))])
-def test_block_tables_match_rep_conventions(q, dims):
+# a loop at 0, a 2-cycle 0 <-> 1, and arrows into and out of vertex 2,
+# which has dimension 0 in the cases below
+LOOP_CYCLE_ZERO = Quiver(3, ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize("quiver,dims,q,every", [
+    (kronecker(2), (2, 2), 2, True),
+    (kronecker(2), (2, 1), 3, False),
+    (kronecker(2), (2, 3), 2, False),
+    (kronecker(2), (1, 2), 4, False),
+    (LOOP_CYCLE_ZERO, (1, 2, 0), 3, False),
+    (LOOP_CYCLE_ZERO, (1, 2, 0), 4, False),
+    (LOOP_CYCLE_ZERO, (2, 1, 0), 2, False),
+], ids=["2-dims0", "3-dims1", "2-dims2", "4-dims3", "3-dims4", "4-dims5",
+        "2-dims6"])
+def test_block_tables_match_rep_conventions(quiver, dims, q, every):
     """Every triple the classifier lists for a subspace tuple
     reconstructs a representation whose restriction and quotient
     indices are the listed ones, by a reference built from row
     reductions, and the triples exhaust the representations preserving
-    the tuple."""
+    the tuple.  With ``every`` each tuple and each of its triples is
+    checked, otherwise 6 tuples and 10 sampled triples of each."""
     field = field_table(q)
-    quiver = kronecker(2)
     space = RepSpace(quiver, dims, field)
-    cls = ScanClassifier(quiver, THETA, field)
+    theta = (1,) + (0,) * (quiver.vertex_count - 1)
+    cls = ScanClassifier(quiver, theta, field)
     rng = random.Random(q * 100 + sum(dims))
     catalogs = [subspace_catalog(field, n) for n in dims]
-    picks = [(i, j) for i in range(len(catalogs[0]))
-             for j in range(len(catalogs[1]))]
-    rng.shuffle(picks)
-    for (i, j) in picks[:6]:
-        recs = (catalogs[0][i], catalogs[1][j])
-        S = SubspaceTuple.of(field, dims, (recs[0].rows, recs[1].rows))
-        lists = cls.triples(dims, S.dims, (i, j))
-        size = 1
-        for triples in lists:
-            size *= len(triples)
+    picks = list(product(*(range(len(catalog)) for catalog in catalogs)))
+    if not every:
+        rng.shuffle(picks)
+        picks = picks[:6]
+    for ords in picks:
+        S = SubspaceTuple.of(field, dims, [catalog[o].rows for catalog, o
+                                           in zip(catalogs, ords)])
+        lists = cls.triples(dims, S.dims, ords)
         # completeness: the product size equals the direct count
         direct = sum(
             1 for M in enumerate_reps(quiver, dims, field) if is_subrep(M, S))
-        assert direct == size
-        # sample entries reconstruct consistently
-        for _ in range(10):
-            choice = [rng.choice(triples) for triples in lists]
+        assert direct == prod(map(len, lists))
+        # listed entries reconstruct consistently
+        choices = (product(*lists) if every else
+                   ([rng.choice(triples) for triples in lists]
+                    for _ in range(10)))
+        for choice in choices:
             idx, u, w = (sum(parts) for parts in zip(*choice))
             M = space.rep(idx)
             assert is_subrep(M, S)
