@@ -24,7 +24,6 @@ from .rep import (Filtration, RepSpace, Representation, SubspaceTuple,
 from .stability import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                         StabilityVerdict, hn_filtration, is_semistable,
                         is_stable, maximal_destabilizing)
-from .strata import (HNType, StratumTable, classify_representations,
-                     enumerate_hn_types, trivial_type)
+from .strata import HNType, StratumTable, enumerate_hn_types, trivial_type
 
 __version__ = "0.1.0"

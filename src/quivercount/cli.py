@@ -35,13 +35,14 @@ from .counting import (coprime_witness, moduli_count_poly,
                        torsor_orbit_count)
 from .errors import (BudgetExceeded, ProblemParseError, QuiverCountError,
                      TheoremViolation)
+from .exhaustive import classify_direct, classify_scan
 from .ffield import PRIME_POWER_LIMIT, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   check_rep_budget, check_tuple_budget, enumerate_reps)
 from .stability import hn_filtration
-from .strata import classify_representations, enumerate_hn_types
+from .strata import StratumTable, enumerate_hn_types
 
 
 @dataclass
@@ -318,12 +319,13 @@ def _cmd_stratify(args):
     problem = _load_problem(args)
     field = field_table(args.q)
     polys, _ = _stratum_polys(problem, [args.q])
-    # worker processes exist only on the point-by-point route
-    workers = args.threads if args.engine == "direct" else 1
-    table = classify_representations(
-        problem.quiver, problem.dims, problem.theta, field,
-        engine=args.engine, workers=workers,
-        max_reps=problem.max_reps, max_tuples=problem.max_tuples)
+    quiver, dims, theta = problem.quiver, problem.dims, problem.theta
+    budgets = {"max_reps": problem.max_reps, "max_tuples": problem.max_tuples}
+    if args.engine == "direct":
+        table = StratumTable(quiver, dims, theta, args.q, classify_direct(
+            quiver, dims, theta, field, workers=args.threads, **budgets))
+    else:
+        table = classify_scan(quiver, dims, theta, field, **budgets)
     _check_strata(table, polys)
     lines = [f"stratum table (q={args.q}):"]
     lines += ["  " + line for line in table.serialize_lines()]
@@ -335,7 +337,7 @@ def _cmd_stratify(args):
         formulas.append({"type": [list(p) for p in beta.pieces],
                          "poly": _poly_json(poly), "count": count})
     total = table.total()
-    lines.append(f"partition: {total} == q^{rep_space_dim(problem.quiver, problem.dims)} ok")
+    lines.append(f"partition: {total} == q^{rep_space_dim(quiver, dims)} ok")
     obj = {"command": "stratify", "q": args.q,
            "table": [{"type": [list(p) for p in b.pieces], "count": c}
                      for b, c in table.sorted_items()],
@@ -362,6 +364,7 @@ def _cmd_verify(args):
     if not qs:
         raise ProblemParseError("no fields to verify: pass --qmax or add a 'q' line")
     quiver, dims, theta = problem.quiver, problem.dims, problem.theta
+    budgets = {"max_reps": problem.max_reps, "max_tuples": problem.max_tuples}
     lines = []
     checks = []
 
@@ -375,18 +378,14 @@ def _cmd_verify(args):
               if witness is None else None)
     for q in qs:
         field = field_table(q)
-        table = classify_representations(
-            quiver, dims, theta, field,
-            max_reps=problem.max_reps, max_tuples=problem.max_tuples)
+        table = classify_scan(quiver, dims, theta, field, **budgets)
         _check_strata(table, polys)
         total = table.total()
         report("partition", q, f"{total} points in {len(table.counts)} strata")
         if total <= DIRECT_CROSSCHECK_LIMIT:
-            direct = classify_representations(
-                quiver, dims, theta, field, engine="direct",
-                workers=args.threads,
-                max_reps=problem.max_reps, max_tuples=problem.max_tuples)
-            if direct.counts != table.counts:
+            direct = classify_direct(quiver, dims, theta, field,
+                                     workers=args.threads, **budgets)
+            if direct != table.counts:
                 raise TheoremViolation(f"engines disagree at q={q}")
             report("engines", q, "point-by-point table matches")
         report("stratum formulas", q, f"{len(polys)} types")

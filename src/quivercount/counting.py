@@ -28,11 +28,13 @@ from functools import lru_cache
 from math import prod
 
 from .errors import BudgetExceeded, CoprimalityError, TheoremViolation
+from .exhaustive import classify_scan
 from .polynomial import CountPolynomial, InexactDivisionError
-from .quiver import (gl_order_poly, group_order_poly, nonzero_subvectors,
-                     pg_order, rep_space_dim, slope)
+from .quiver import (check_vector, gl_order_poly, group_order_poly,
+                     int_vector, nonzero_subvectors, pg_order, rep_space_dim,
+                     slope)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
-from .strata import check_type_budget, classify_representations
+from .strata import check_type_budget
 
 MAX_SEMISTABLE_PAIRS = 2**16
 
@@ -119,7 +121,8 @@ def semistable_count_polys(quiver, dims, theta):
     is a TheoremViolation.  Past MAX_SEMISTABLE_PAIRS pairs (m, e),
     e <= m <= dims, it stops before it starts.
     """
-    theta = tuple(theta)
+    dims = check_vector(quiver, dims, "dimension vector")
+    theta = int_vector(theta, "character")
     tables = {}
 
     def table(m):
@@ -147,7 +150,6 @@ def semistable_count_polys(quiver, dims, theta):
             tables[m] = [mu_e for mu_e, _ in upper], counts[::-1]
         return tables[m]
 
-    dims = tuple(dims)
     check_recursion_budget(dims)
     table(dims)
     return {m: counts[0] for m, (_, counts) in tables.items()}
@@ -188,7 +190,8 @@ def _require_coprime(dims, theta):
 def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
     representations (see moduli_poly_from_semistable)."""
-    dims = tuple(dims)
+    dims = check_vector(quiver, dims, "dimension vector")
+    theta = int_vector(theta, "character")
     check_recursion_budget(dims)  # before coprimality lists the subvectors
     _require_coprime(dims, theta)  # before the recursion
     return moduli_poly_from_semistable(
@@ -237,9 +240,7 @@ def torsor_orbit_count(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
     dims = tuple(dims)
     _require_coprime(dims, theta)
     if table is None:
-        table = classify_representations(quiver, dims, theta, field,
-                                         max_reps=max_reps,
-                                         max_tuples=max_tuples)
+        table = classify_scan(quiver, dims, theta, field, max_reps, max_tuples)
     elif (table.quiver, table.dims, table.theta, table.q) != (
             quiver, dims, tuple(theta), field.q):
         raise ValueError("the stratum table belongs to another problem")

@@ -50,7 +50,7 @@ from .quiver import nonzero_subvectors, slope, slope_ranks, total_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   catalog_range, check_rep_budget, check_tuple_budget,
                   quotient_rep, subspace_catalog)
-from .strata import MAX_TYPES, HNType, trivial_type
+from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
 
 MAX_TYPE_ID = MAX_TYPES - 1  # the largest id that type_ids, an array("h"), holds
 
@@ -251,9 +251,10 @@ class ScanClassifier:
 
 def classify_scan(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
                   max_tuples=DEFAULT_MAX_TUPLES):
-    """Stratum counts via the subspace-major engine."""
+    """The stratum table via the subspace-major engine."""
     classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
-    return dict(classifier.table(tuple(dims)).counts)
+    counts = dict(classifier.table(tuple(dims)).counts)
+    return StratumTable(quiver, tuple(dims), tuple(theta), field.q, counts)
 
 
 # ---------------------------------------------------------------------------

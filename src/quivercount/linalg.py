@@ -4,6 +4,9 @@ Vectors are tuples of element indices; an r x n matrix is a tuple of r
 row tuples.  Everything is tiny, so the code favours clarity and exact
 table lookups over any clever packing.
 
+rref, reduce_mod and mat_vec are the definitional references of
+is_subrep and the tests; rep's subspace layer works on codes instead.
+
 Index encodings (used for bulk enumeration):
   vector v of length n   ->  sum_k v[k] * q^k
   matrix, row-major      ->  entry (i, j) contributes at digit i*n + j

@@ -25,10 +25,11 @@ class Quiver:
     arrows: tuple
 
     def __post_init__(self):
+        int_vector((self.vertex_count,), "vertex count")
         if self.vertex_count < 1:
             raise ValueError("quiver needs at least one vertex")
         object.__setattr__(self, "arrows", tuple(
-            (int(s), int(t)) for (s, t) in self.arrows))
+            int_vector(arrow, "arrow") for arrow in self.arrows))
         for (s, t) in self.arrows:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
                 raise ValueError(f"arrow ({s}, {t}) leaves the vertex range")
@@ -42,8 +43,19 @@ def kronecker(arrow_count):
     return Quiver(2, tuple((0, 1) for _ in range(arrow_count)))
 
 
+def int_vector(values, name, nonnegative=False):
+    """``values`` as a tuple; ValueError for an entry that is not an int
+    and, with ``nonnegative`` (a dimension vector), for one below 0."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or (nonnegative and x < 0):
+            raise ValueError(f"{name} {values!r} has the entry {x!r}, not an "
+                             f"int{' >= 0' if nonnegative else ''}")
+    return values
+
+
 def check_vector(quiver, vec, name):
-    vec = tuple(int(x) for x in vec)
+    vec = int_vector(vec, name, nonnegative=True)
     if len(vec) != quiver.vertex_count:
         raise ValueError(f"{name} has length {len(vec)}, expected {quiver.vertex_count}")
     return vec

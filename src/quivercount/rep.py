@@ -24,14 +24,15 @@ Conventions fixed here and relied on everywhere else:
 * subspace_catalog(field, n) lists every subspace of GF(q)^n once, by
   dimension and then in enumerate_subspaces order; the ordinal of a
   subspace is its position there.  Each record carries the RREF rows,
-  the codes of the rows and the set of codes of all members.
+  the codes of the rows and the set of codes of all members; the
+  catalog also finds a record by its rows and by its member set.
 * GF(q)^n = S + span(e_c : c a free column of S), and the coords table
   of a record names each vector v by its two parts: entry c is the pair
   (y, z) of codes with v = sum_r y[r] * row_r + sum_i z[i] * e_{free_i}.
   So y is the restriction coordinate (the pivot entries of v), z the
   quotient coordinate, and z = 0 exactly on the members.  Restrictions,
-  quotients and the scan's block tables all read this one table, which
-  a record builds on first use.
+  quotients, lifts (pullback), graded pieces and the scan's block
+  tables all read this one table, which a record builds on first use.
 * The action table of an arrow s -> t of a representation is the
   arrow's matrix as a map of codes (linalg.action_table).  The tables
   are held on the space, one store per arrow keyed by the arrow's digit
@@ -53,9 +54,8 @@ from math import prod
 from operator import attrgetter
 
 from .errors import BudgetExceeded
-from .linalg import (action_table, decode_matrix, decode_vector,
-                     encode_columns, encode_matrix, encode_vector, mat_vec,
-                     reduce_mod, rref)
+from .linalg import (action_table, decode_matrix, encode_columns,
+                     encode_matrix, encode_vector, mat_vec, reduce_mod)
 from .quiver import check_vector, rep_space_dim
 
 DEFAULT_MAX_REPS = 2**24
@@ -275,11 +275,6 @@ class SubspaceTuple:
         return self.dims == self.ambient
 
 
-def pivots_of(basis):
-    """Pivot columns of an RREF basis (first nonzero entry of each row)."""
-    return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-
-
 @dataclass(frozen=True)
 class Filtration:
     """A strictly increasing chain 0 = S^0 < S^1 < ... < S^n = full."""
@@ -362,7 +357,9 @@ class SubspaceInfo:
         self.codes = tuple(encode_vector(row, field.q) for row in rows)
         self.n = n
         self.k = len(rows)
-        self.pivots = pivots_of(rows)
+        # the first nonzero column of each row
+        self.pivots = tuple(next(j for j, x in enumerate(row) if x)
+                            for row in rows)
         piv = set(self.pivots)
         self.free_cols = tuple(c for c in range(n) if c not in piv)
         # the image of the map whose columns are the rows
@@ -388,12 +385,13 @@ class SubspaceInfo:
 
 @lru_cache(maxsize=64)
 def _catalog(field, n):
-    # records of an evicted catalog stay valid: ordinals are
-    # deterministic and containment compares member sets
+    # the records, then each by rows and by member set; an evicted catalog's
+    # records stay valid: ordinals are deterministic, contains reads members
     records = tuple(SubspaceInfo(field, rows, n)
                     for k in range(n + 1)
                     for rows in enumerate_subspaces(n, k, field))
-    return records, {r.rows: r for r in records}
+    return (records, {r.rows: r for r in records},
+            {r.members: r for r in records})
 
 
 def subspace_catalog(field, n):
@@ -461,11 +459,10 @@ def is_subrep(M, S):
     _check_same_ambient(M, S)
     field = M.space.field
     for (s, t), mat in zip(M.space.quiver.arrows, M.mats):
-        target = S.bases[t]
-        tp = pivots_of(target)
+        target = S.records[t]
         for row in S.bases[s]:
             image = mat_vec(field, mat, row)
-            if any(reduce_mod(field, target, tp, image)):
+            if any(reduce_mod(field, target.rows, target.pivots, image)):
                 return False
     return True
 
@@ -474,13 +471,8 @@ def _record_tree(space, admissible):
     """The records enumerate_subreps tries per level, as nodes (records,
     children): the catalog ranges of the dimensions some admissible
     vector allows after those already fixed, and the next level's node
-    by the dimension fixed here; with no set, every catalog in full."""
+    by the dimension fixed here."""
     _, levels, _ = space._subrep_plan
-    node = None
-    if admissible is None:
-        for i, catalog, _, _ in reversed(levels):
-            node = (catalog, dict.fromkeys(range(space.dims[i] + 1), node))
-        return node
     order = [level[0] for level in levels]
 
     def build(j, paths):
@@ -518,7 +510,8 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
     dims = space.dims
     check_tuple_budget(dims, field.q, max_tuples)
     zeros, levels, trees = space._subrep_plan
-    key = None if admissible is None else frozenset(admissible)
+    key = frozenset(product(*(range(n + 1) for n in dims))
+                    if admissible is None else admissible)
     if key not in trees:
         trees[key] = _record_tree(space, key)
     acts = M.actions
@@ -601,15 +594,11 @@ def sub_rep(M, S):
 
 def _image_in_sub_coords(outer, inner):
     """inner expressed in the restriction coordinates of outer (inner <=
-    outer)."""
-    field = outer.field
-    bases = []
-    for rec_in, rec_out in zip(inner.records, outer.records):
-        coords = rec_out.coords
-        rows = [decode_vector(coords[c][0], rec_out.k, field.q)
-                for c in rec_in.codes]
-        bases.append(rref(field, rows)[0])
-    return SubspaceTuple.of(field, outer.dims, bases)
+    outer): the records whose members are the restriction coordinates
+    of inner's members."""
+    return SubspaceTuple(tuple(_catalog(outer.field, rec_out.k)[2][frozenset(
+        rec_out.coords[c][0] for c in rec_in.members)]
+        for rec_in, rec_out in zip(inner.records, outer.records)))
 
 
 def contains(outer, inner):
@@ -643,23 +632,13 @@ def associated_graded(M, filtration):
     return pieces
 
 
-def pullback(S, quotient_rows):
-    """Lift a subspace given in quotient coordinates of S back to the
-    ambient space, returning the enlarged subspace tuple."""
-    field = S.field
-    bases = []
-    for rec, rows in zip(S.records, quotient_rows):
-        if not rows:
-            bases.append(rec.rows)
-            continue
-        lifted = []
-        for row in rows:
-            v = [0] * rec.n
-            for c, x in zip(rec.free_cols, row):
-                v[c] = x
-            lifted.append(tuple(v))
-        combined, _ = rref(field, list(rec.rows) + lifted)
-        # lifts are supported on free columns, so no rank can collapse
-        assert len(combined) == rec.k + len(rows)
-        bases.append(combined)
-    return SubspaceTuple.of(field, S.ambient, bases)
+def pullback(S, T):
+    """Lift T, a subspace tuple in the quotient coordinates of S, back to
+    the ambient space: per vertex, the record whose members are the
+    vectors whose quotient coordinate lies in T.  ValueError unless T
+    lies over S's quotient dimensions and field."""
+    if T.field != S.field or T.ambient != tuple(r.n - r.k for r in S.records):
+        raise ValueError("T is not in the quotient coordinates of S")
+    return SubspaceTuple(tuple(_catalog(S.field, rec.n)[2][frozenset(
+        c for c, (_, z) in enumerate(rec.coords) if z in sub.members)]
+        for rec, sub in zip(S.records, T.records)))

@@ -107,8 +107,9 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
 
 def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """The unique filtration with semistable subquotients of strictly
-    decreasing slope, built by repeatedly extracting the maximal
-    destabilizing subrepresentation of the successive quotients.
+    decreasing slope, built by extracting the maximal destabilizing
+    subrepresentation T of the successive quotients M -> M/T1 ->
+    (M/T1)/T2 -> ..., each step the last one with T lifted onto it.
 
     Returns the filtration (as subspace tuples of the ambient space)
     together with its instability type; a semistable M yields the
@@ -123,12 +124,12 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     while True:
         T = maximal_destabilizing(quotient, theta, max_tuples=max_tuples)
         # on the first step the quotient is M itself, so T needs no lift
-        step = pullback(steps[-1], T.bases) if steps else T
+        step = pullback(steps[-1], T) if steps else T
         pieces.append(T.dims)
         steps.append(step)
         if step.is_full():
             break
-        quotient = quotient_rep(M, step)
+        quotient = quotient_rep(quotient, T)
     pieces = tuple(pieces)
     check_decreasing(slope_ranks(tuple(theta), space.dims), pieces)
     # the zero step last: its catalogs are built only once the first

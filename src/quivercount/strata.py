@@ -1,5 +1,5 @@
 """Instability types, their listing under the type budgets, and the
-classification of a whole representation space into strata.
+table of the point count of every stratum of a space.
 
 An instability type records the dimension vectors of the semistable
 subquotients of a filtration; the slopes are always derived from the
@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BudgetExceeded
-from .quiver import (nonzero_subvectors, rep_space_dim, slope, slope_ranks,
-                     total_dim)
-from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
+from .quiver import (check_vector, int_vector, nonzero_subvectors,
+                     rep_space_dim, slope, slope_ranks, total_dim)
 
 DEFAULT_MAX_TYPE_DIM = 64
 MAX_TYPES = 2**15  # as many ids as the scan's array("h") of type ids holds
@@ -28,9 +27,9 @@ class HNType:
     pieces: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(int(t) for t in self.theta))
+        object.__setattr__(self, "theta", int_vector(self.theta, "character"))
         object.__setattr__(self, "pieces", tuple(
-            tuple(int(x) for x in piece) for piece in self.pieces))
+            int_vector(p, "piece", nonnegative=True) for p in self.pieces))
         if not self.pieces:
             raise ValueError("a type needs at least one piece")
         for piece in self.pieces:
@@ -87,8 +86,8 @@ def enumerate_hn_types(quiver, dims, theta):
     trivial type always comes first.  Past MAX_TYPES types the listing
     stops with BudgetExceeded.
     """
-    dims = tuple(int(d) for d in dims)
-    theta = tuple(int(t) for t in theta)
+    dims = check_vector(quiver, dims, "dimension vector")
+    theta = int_vector(theta, "character")
     check_type_budget(dims)
     rank = slope_ranks(theta, dims)  # every piece is a subvector of dims
     # per remaining vector, its (rank, piece, what is left) triples,
@@ -147,28 +146,3 @@ class StratumTable:
     def serialize_lines(self):
         """One line per type: the type key, a space, the count."""
         return [f"{beta.key_str()} {count}" for beta, count in self.sorted_items()]
-
-
-def classify_representations(quiver, dims, theta, field, engine="scan",
-                             workers=1, max_reps=DEFAULT_MAX_REPS,
-                             max_tuples=DEFAULT_MAX_TUPLES):
-    """Assign every point of the representation space to its stratum.
-
-    ``engine`` picks the route: "scan" (the default) iterates candidate
-    destabilizing subspace tuples, and "direct" runs the filtration
-    procedure point by point (parallelizable via ``workers``).  Both
-    engines produce identical tables.
-    """
-    from . import exhaustive
-
-    if engine == "scan":
-        if workers != 1:
-            raise ValueError("the scan engine is single-process")
-        counts = exhaustive.classify_scan(quiver, dims, theta, field,
-                                          max_reps, max_tuples)
-    elif engine == "direct":
-        counts = exhaustive.classify_direct(quiver, dims, theta, field,
-                                            workers, max_reps, max_tuples)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return StratumTable(quiver, tuple(dims), tuple(theta), field.q, dict(counts))

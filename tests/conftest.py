@@ -68,7 +68,7 @@ def brute_force_filtrations(M, theta):
                 continue
             if not _semistable_cached(sub_rep(quotient, S), theta):
                 continue
-            step = pullback(current, S.bases)
+            step = pullback(current, S)
             if step.is_full():
                 results.append(tuple(chain + [step]))
             else:

@@ -11,7 +11,7 @@ import sys
 import time
 
 from quivercount import (CountPolynomial, CountSamples, RepSpace,
-                         classify_direct, classify_representations,
+                         classify_direct, classify_scan,
                          count_hn_filtrations,
                          enumerate_hn_types, enumerate_reps, field_table,
                          hn_filtration, kronecker, make_field,
@@ -79,7 +79,7 @@ def test_criterion_02_partition_identity():
     budget = Budget(30.0, "criterion 2: stratum counts partition every space")
     for name, quiver, dims, qs in INSTANCES:
         for q in qs:
-            table = classify_representations(quiver, dims, THETA, field_table(q))
+            table = classify_scan(quiver, dims, THETA, field_table(q))
             assert table.total() == q**rep_space_dim(quiver, dims), \
                 f"partition failed for {name} at q={q}"
     budget.finish()
@@ -178,7 +178,7 @@ def test_criterion_06_torsor_divisibility():
                 continue
             field = field_table(q)
             orbits = torsor_orbit_count(quiver, dims, THETA, field)
-            table = classify_representations(quiver, dims, THETA, field)
+            table = classify_scan(quiver, dims, THETA, field)
             assert orbits * pg_order(dims, q) == table.trivial_count()
     budget.finish()
 

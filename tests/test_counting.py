@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quivercount import (CoprimalityError, CountPolynomial, HNType, Quiver,
-                         TheoremViolation, classify_representations,
+                         TheoremViolation, classify_scan,
                          coprime_witness, enumerate_hn_types, enumerate_reps,
                          field_table, first_piece_factor, gl_order,
                          group_order_poly, is_coprime, kronecker,
@@ -208,7 +208,7 @@ def test_stratum_polynomials_match_classification(quiver, dims, theta, qs):
             if piece not in ss:
                 ss[piece] = semistable_count_poly(quiver, piece, theta)
     for q in qs:
-        table = classify_representations(quiver, dims, theta, field_table(q))
+        table = classify_scan(quiver, dims, theta, field_table(q))
         for beta in types:
             assert stratum_count_poly(quiver, beta, ss)(q) == \
                 table.counts.get(beta, 0)

@@ -3,8 +3,11 @@ from itertools import product
 
 import pytest
 
-from quivercount import (CountPolynomial, Quiver, gl_order, gl_order_poly,
-                         group_order_poly, kronecker, rep_space_dim, slope)
+from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
+                         enumerate_hn_types, field_table, gl_order,
+                         gl_order_poly, group_order_poly, kronecker,
+                         moduli_count_poly, rep_space_dim,
+                         semistable_count_poly, semistable_count_polys, slope)
 
 from conftest import a2_quiver
 
@@ -19,6 +22,53 @@ def test_quiver_validation():
     loop = Quiver(1, ((0, 0),))
     assert loop.arrows == ((0, 0),)
     assert kronecker(3).arrows == ((0, 1),) * 3
+
+
+K2 = kronecker(2)
+NOT_INT, NEGATIVE = "not an int", "entry -1, not an int >= 0"
+LENGTH = "length 3"
+
+# each entry point with a vector holding a non-int, a dimension vector
+# with a negative entry, or one whose length is not the vertex count
+BAD_VECTORS = [
+    ("quiver-vertex-count", lambda: Quiver(2.0, ()), NOT_INT),
+    ("quiver-arrow-float", lambda: Quiver(2, ((0.9, 1),)), NOT_INT),
+    ("quiver-arrow-str", lambda: Quiver(2, (("0", 1),)), NOT_INT),
+    ("hn-type-theta", lambda: HNType((1.5, 0), ((1, 0),)), NOT_INT),
+    ("hn-type-piece", lambda: HNType((1, 0), ((1.0, 0),)), NOT_INT),
+    ("hn-type-negative-piece", lambda: HNType((1, 0), ((2, -1),)), NEGATIVE),
+    ("space-float", lambda: RepSpace(K2, (2.7, 3), field_table(2)), NOT_INT),
+    ("space-str", lambda: RepSpace(K2, ("2", 3), field_table(2)), NOT_INT),
+    ("space-negative", lambda: RepSpace(K2, (-1, 2), field_table(2)),
+     NEGATIVE),
+    ("hn-types-negative", lambda: enumerate_hn_types(K2, (-1, 2), (1, 0)),
+     NEGATIVE),
+    ("hn-types-theta", lambda: enumerate_hn_types(K2, (1, 2), (1, 0.5)),
+     NOT_INT),
+    ("hn-types-length", lambda: enumerate_hn_types(K2, (1, 2, 3), (1, 0)),
+     LENGTH),
+    ("semistable-polys-negative",
+     lambda: semistable_count_polys(K2, (-1, 2), (1, 0)), NEGATIVE),
+    ("semistable-polys-theta",
+     lambda: semistable_count_polys(K2, (1, 2), ("1", 0)), NOT_INT),
+    ("semistable-poly-negative",
+     lambda: semistable_count_poly(K2, (-1, 2), (1, 0)), NEGATIVE),
+    ("semistable-poly-length",
+     lambda: semistable_count_poly(K2, (1, 2, 1), (1, 0)), LENGTH),
+    ("moduli-float", lambda: moduli_count_poly(K2, (1.0, 2), (1, 0)),
+     NOT_INT),
+    ("moduli-negative", lambda: moduli_count_poly(K2, (-1, 2), (1, 0)),
+     NEGATIVE),
+    ("moduli-length", lambda: moduli_count_poly(K2, (1, 1, 0), (1, 0)),
+     LENGTH),
+]
+
+
+@pytest.mark.parametrize("make,message", [case[1:] for case in BAD_VECTORS],
+                         ids=[case[0] for case in BAD_VECTORS])
+def test_vectors_are_checked_at_every_entry_point(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_slope_examples():

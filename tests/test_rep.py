@@ -7,7 +7,7 @@ from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
                          Representation, SubspaceTuple, associated_graded,
                          enumerate_reps, enumerate_subreps,
                          enumerate_subspaces, field_table, is_subrep,
-                         kronecker, quotient_rep, sub_rep)
+                         kronecker, pullback, quotient_rep, sub_rep)
 from quivercount.linalg import (decode_vector, encode_vector, mat_vec,
                                 reduce_mod, rref)
 from quivercount.rep import MAX_TABLE_ENTRIES, _catalog, subspace_count
@@ -123,7 +123,7 @@ def test_subspace_total_counts(q):
 
 def test_coords_are_built_on_first_use():
     # a catalog never builds the q^n-entry coords tables of its records
-    records, _ = _catalog.__wrapped__(field_table(3), 3)
+    records = _catalog.__wrapped__(field_table(3), 3)[0]
     assert all(rec._coords is None for rec in records)
     rec = records[len(records) // 2]
     assert rec.coords is rec.coords
@@ -369,6 +369,15 @@ def test_is_subrep_rejects_another_field_or_ambient(f2, f3):
         for check in (is_subrep, quotient_rep, sub_rep):
             with pytest.raises(ValueError, match=message):
                 check(M, S)
+
+
+def test_pullback_rejects_a_tuple_off_the_quotient(f2, f3):
+    S = SubspaceTuple.of(f2, (2, 3), (((1, 0),), ()))  # quotient dims (1, 3)
+    assert pullback(S, SubspaceTuple.full(f2, (1, 3))).is_full()
+    for T in (SubspaceTuple.zero(f2, (2, 3)), SubspaceTuple.zero(f2, (1, 2)),
+              SubspaceTuple.zero(f3, (1, 3))):
+        with pytest.raises(ValueError, match="not in the quotient"):
+            pullback(S, T)
 
 
 def test_action_table_store_is_bounded():

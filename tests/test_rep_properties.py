@@ -1,7 +1,8 @@
 """Property tests of the subspace and subrepresentation layer, the
-enumeration restricted to admissible dimension vectors included, of the
-scan, its rows of preserving points included, of the action tables a
-space holds, and of the direct route's counts, against the definitions.
+enumeration restricted to admissible dimension vectors and the lift of
+a tuple from quotient coordinates included, of the scan, its rows of
+preserving points included, of the action tables a space holds, and of
+the direct route's counts, against the definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -22,9 +23,10 @@ from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          SubspaceTuple, classify_direct, count_hn_filtrations,
                          enumerate_subreps, enumerate_subspaces, field_table,
                          hn_filtration, is_semistable, is_stable, is_subrep,
-                         maximal_destabilizing, quotient_rep, slope, sub_rep)
-from quivercount.linalg import decode_vector, encode_vector, mat_vec
-from quivercount.rep import subspace_catalog
+                         maximal_destabilizing, pullback, quotient_rep, slope,
+                         sub_rep)
+from quivercount.linalg import decode_vector, encode_vector, mat_vec, rref
+from quivercount.rep import _image_in_sub_coords, subspace_catalog
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -173,6 +175,86 @@ def test_filtered_enumeration_is_the_restricted_filter(case):
     # the unfiltered order, and the same again from the kept record tree
     assert found == [S for S in enumerate_subreps(M) if S.dims in admissible]
     assert list(enumerate_subreps(M, admissible=set(admissible))) == found
+
+
+@DETERMINISTIC
+@given(points())
+@example(_point(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0)))     # a 2-cycle
+@example(_point(((0, 1), (0, 2)), (1, 0, 2), 3, 4, (0, 0, 0)))  # size 0
+def test_no_set_admits_every_vector_below_dims(point):
+    M, _ = point
+    every = set(product(*(range(d + 1) for d in M.space.dims)))
+    assert list(enumerate_subreps(M)) == list(
+        enumerate_subreps(M, admissible=every))
+
+
+def _free_columns(rows, n):
+    pivots = {next(j for j, x in enumerate(row) if x) for row in rows}
+    return [c for c in range(n) if c not in pivots]
+
+
+def reference_pullback(S, T):
+    """T's rows placed on the free columns of S, row-reduced with S's
+    rows."""
+    field = S.field
+    bases = []
+    for rows, quotient_rows, n in zip(S.bases, T.bases, S.ambient):
+        lifted = []
+        for row in quotient_rows:
+            v = [0] * n
+            for c, x in zip(_free_columns(rows, n), row):
+                v[c] = x
+            lifted.append(v)
+        bases.append(rref(field, list(rows) + lifted)[0])
+    return SubspaceTuple.of(field, S.ambient, bases)
+
+
+def reference_image(outer, inner):
+    """inner's rows read at the pivot columns of outer, row-reduced."""
+    field = outer.field
+    bases = []
+    for rows, inner_rows, n in zip(outer.bases, inner.bases, outer.ambient):
+        pivots = [c for c in range(n) if c not in _free_columns(rows, n)]
+        bases.append(rref(field, [[row[p] for p in pivots]
+                                  for row in inner_rows])[0])
+    return SubspaceTuple.of(field, outer.dims, bases)
+
+
+# K2 (2,3), and a quiver with a loop and a 2-cycle; GF(4) digits do not
+# add as integers
+LIFT_CASES = [(Quiver(2, ((0, 1), (0, 1))), (2, 3), q) for q in (2, 3, 4)] + [
+    (Quiver(2, ((0, 0), (0, 1), (1, 0))), (2, 2), q) for q in (2, 3)]
+
+
+@st.composite
+def lifts(draw):
+    """A point M of a space of LIFT_CASES, a subrepresentation S of M and
+    a subrepresentation T of M/S, a tuple in the quotient coordinates of
+    S.  Low indices, whose later arrows are zero, have many
+    subrepresentations."""
+    quiver, dims, q = draw(st.sampled_from(LIFT_CASES))
+    space = RepSpace(quiver, dims, field_table(q))
+    index = draw(st.integers(0, space.point_count - 1) | st.integers(0, 255))
+    M = space.rep(index)
+    S = draw(st.sampled_from(list(enumerate_subreps(M))))
+    T = draw(st.sampled_from(list(enumerate_subreps(quotient_rep(M, S)))))
+    return M, S, T
+
+
+@DETERMINISTIC
+@given(lifts())
+def test_pullback_is_the_row_reduced_lift(case):
+    M, S, T = case
+    lifted = pullback(S, T)
+    assert lifted == reference_pullback(S, T)
+    assert lifted.dims == tuple(a + b for a, b in zip(S.dims, T.dims))
+    # a subrepresentation whose quotient is the quotient of M/S by T, the
+    # walk M -> M/T1 -> (M/T1)/T2 of hn_filtration
+    assert is_subrep(M, lifted)
+    assert quotient_rep(M, lifted) == quotient_rep(quotient_rep(M, S), T)
+    # S in the restriction coordinates of its lift, as the graded pieces
+    # read it
+    assert _image_in_sub_coords(lifted, S) == reference_image(lifted, S)
 
 
 @st.composite

@@ -8,11 +8,10 @@ from math import prod
 import pytest
 
 from quivercount import (BudgetExceeded, HNType, Quiver, RepSpace,
-                         SubspaceTuple, TheoremViolation, classify_direct,
-                         classify_representations, classify_scan,
-                         count_hn_filtrations, enumerate_hn_types,
-                         enumerate_reps, enumerate_subreps, field_table,
-                         hn_filtration, is_subrep, kronecker,
+                         StratumTable, SubspaceTuple, TheoremViolation,
+                         classify_direct, classify_scan, count_hn_filtrations,
+                         enumerate_hn_types, enumerate_reps, enumerate_subreps,
+                         field_table, hn_filtration, is_subrep, kronecker,
                          nonzero_subvectors, quotient_rep, slope, sub_rep,
                          trivial_type)
 from quivercount.exhaustive import ScanClassifier, SpaceTable
@@ -79,7 +78,7 @@ def test_type_count_budget_boundary(monkeypatch):
 
 
 def test_classify_k2_11(f2):
-    table = classify_representations(kronecker(2), (1, 1), THETA, f2)
+    table = classify_scan(kronecker(2), (1, 1), THETA, f2)
     assert table.counts == {
         trivial_type(THETA, (1, 1)): 3,
         HNType(THETA, ((1, 0), (0, 1))): 1,
@@ -89,28 +88,38 @@ def test_classify_k2_11(f2):
     assert table.serialize_lines() == ["1,1 3", "1,0;0,1 1"]
 
 
+def test_classify_scan_returns_the_table_of_its_arguments(f3):
+    quiver = kronecker(2)
+    table = classify_scan(quiver, [1, 2], [1, 0], f3)
+    assert isinstance(table, StratumTable)
+    assert (table.quiver, table.dims, table.theta, table.q) == (
+        quiver, (1, 2), (1, 0), 3)
+    assert table.counts == classify_direct(quiver, (1, 2), (1, 0), f3)
+    assert table.total() == table.expected_total() == 3**4
+
+
 def test_classify_a2_q3(f3):
-    table = classify_representations(a2_quiver(), (1, 1), THETA, f3)
+    table = classify_scan(a2_quiver(), (1, 1), THETA, f3)
     assert table.counts[trivial_type(THETA, (1, 1))] == 2
     assert table.counts[HNType(THETA, ((1, 0), (0, 1)))] == 1
     assert table.total() == 3
 
 
 def test_classify_zero_character_single_stratum(f2):
-    table = classify_representations(kronecker(2), (1, 1), (0, 0), f2)
+    table = classify_scan(kronecker(2), (1, 1), (0, 0), f2)
     assert table.counts == {trivial_type((0, 0), (1, 1)): 4}
 
 
 def test_classify_loop_quiver(f2):
     loop = Quiver(1, ((0, 0),))
-    table = classify_representations(loop, (2,), (5,), f2)
+    table = classify_scan(loop, (2,), (5,), f2)
     assert table.counts == {trivial_type((5,), (2,)): 16}
 
 
 def test_classify_arrowless_quiver(f2):
     # one point, and it is maximally unstable
     quiver = Quiver(2, ())
-    scan = classify_scan(quiver, (1, 1), THETA, f2)
+    scan = classify_scan(quiver, (1, 1), THETA, f2).counts
     assert scan == classify_direct(quiver, (1, 1), THETA, f2)
     assert scan == {HNType(THETA, ((1, 0), (0, 1))): 1}
     assert count_hn_filtrations(quiver, (2, 2), THETA, f2) == [1]
@@ -147,7 +156,7 @@ def test_engines_agree(quiver, dims, theta, q):
     """The subspace-major scan and the point-by-point procedure give the
     same table."""
     field = field_table(q)
-    assert classify_scan(quiver, dims, theta, field) == \
+    assert classify_scan(quiver, dims, theta, field).counts == \
         classify_direct(quiver, dims, theta, field)
 
 
@@ -161,7 +170,7 @@ def test_scan_claims_points_past_254_destabilizer_groups(f2):
     groups = {(slope(theta, e), sum(e)) for e in nonzero_subvectors(dims)
               if slope(theta, e) > mu}
     assert len(groups) == 255
-    assert classify_scan(quiver, dims, theta, f2) == \
+    assert classify_scan(quiver, dims, theta, f2).counts == \
         classify_direct(quiver, dims, theta, f2)
 
 
@@ -261,7 +270,7 @@ def test_direct_calls_share_no_quotient_memo(f2, monkeypatch):
 def test_every_realized_type_is_enumerated(f2):
     quiver = kronecker(2)
     admissible = set(enumerate_hn_types(quiver, (2, 3), THETA))
-    table = classify_representations(quiver, (2, 3), THETA, f2)
+    table = classify_scan(quiver, (2, 3), THETA, f2)
     assert set(table.counts) <= admissible
     assert len(admissible) >= len(table.counts)
 
@@ -460,7 +469,7 @@ def test_randomized_small_instances_cross_check():
         if N > 1500:
             continue
         tried += 1
-        scan = classify_scan(quiver, dims, theta, field)
+        scan = classify_scan(quiver, dims, theta, field).counts
         direct = classify_direct(quiver, dims, theta, field)
         assert scan == direct
         assert sum(scan.values()) == N
