@@ -30,9 +30,9 @@ from math import prod
 from .errors import BudgetExceeded, CoprimalityError, TheoremViolation
 from .exhaustive import classify_scan
 from .polynomial import CountPolynomial, InexactDivisionError
-from .quiver import (check_vector, gl_order_poly, group_order_poly,
-                     int_vector, nonzero_subvectors, pg_order, rep_space_dim,
-                     slope)
+from .quiver import (check_theta, check_vector, gl_order_poly,
+                     group_order_poly, nonzero_subvectors, pg_order,
+                     rep_space_dim, slope)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 from .strata import check_type_budget
 
@@ -122,7 +122,7 @@ def semistable_count_polys(quiver, dims, theta):
     e <= m <= dims, it stops before it starts.
     """
     dims = check_vector(quiver, dims, "dimension vector")
-    theta = int_vector(theta, "character")
+    theta = check_theta(quiver, theta)
     tables = {}
 
     def table(m):
@@ -191,7 +191,7 @@ def moduli_count_poly(quiver, dims, theta):
     """Point count polynomial of the moduli space of stable
     representations (see moduli_poly_from_semistable)."""
     dims = check_vector(quiver, dims, "dimension vector")
-    theta = int_vector(theta, "character")
+    theta = check_theta(quiver, theta)
     check_recursion_budget(dims)  # before coprimality lists the subvectors
     _require_coprime(dims, theta)  # before the recursion
     return moduli_poly_from_semistable(

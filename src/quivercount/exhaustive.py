@@ -22,7 +22,8 @@ Two independent routes compute the stratum table:
   coordinate map, one action-table lookup per row.  Points come in rows:
   a row fixes every arrow but arrow 0, whose stride is 1, and its points
   are its offsets plus each triple of arrow 0's list, a loop the scan
-  runs inline.  A point's type id is 0 while it is free.  A type's first
+  runs inline.  A point's type id, a bytearray entry (an array("h") one
+  from the table's 257th type on), is 0 while it is free.  A type's first
   piece fixes its group, so the ids a group interns exceed every earlier
   group's, and an id at least the group's first id is a second hit
   inside the claiming group, which breaks uniqueness.  On the first hit
@@ -46,13 +47,15 @@ from itertools import product
 from . import stability
 from .errors import BudgetExceeded, TheoremViolation
 from .linalg import action_table, decode_vector, encode_columns
-from .quiver import nonzero_subvectors, slope, slope_ranks, total_dim
+from .quiver import (check_theta, nonzero_subvectors, slope, slope_ranks,
+                     total_dim)
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   catalog_range, check_rep_budget, check_tuple_budget,
                   quotient_rep, subspace_catalog)
 from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
 
-MAX_TYPE_ID = MAX_TYPES - 1  # the largest id that type_ids, an array("h"), holds
+BYTE_IDS = 256  # the type ids a bytearray holds; the next type widens it
+MAX_TYPE_ID = MAX_TYPES - 1  # the largest id a widened array("h") holds
 
 
 class BlockTable:
@@ -128,7 +131,7 @@ class ScanClassifier:
     def __init__(self, quiver, theta, field, max_reps=DEFAULT_MAX_REPS,
                  max_tuples=DEFAULT_MAX_TUPLES):
         self.quiver = quiver
-        self.theta = tuple(theta)
+        self.theta = check_theta(quiver, theta)
         self.field = field
         self.max_reps = max_reps
         self.max_tuples = max_tuples
@@ -201,7 +204,7 @@ class ScanClassifier:
         types = [trivial]
         counts = [0]
         type_index = {trivial.pieces: 0}
-        type_ids = array("h", bytes(2 * N))
+        type_ids = bytearray(N)
         for key in group_keys:
             first = len(types)  # this group's types get ids from here on
             for e in groups[key]:
@@ -235,6 +238,9 @@ class ScanClassifier:
                                     raise BudgetExceeded(
                                         f"more than {MAX_TYPE_ID + 1} types "
                                         f"in the space of {dims}")
+                                if tid == BYTE_IDS:
+                                    # array("h", a bytearray) reads byte pairs
+                                    type_ids = array("h", iter(type_ids))
                                 type_index[pieces] = tid
                                 types.append(HNType(theta, pieces))
                                 counts.append(0)
@@ -292,7 +298,7 @@ def _direct_range(quiver, dims, theta, field, start, stop, max_tuples):
     return counter
 
 
-POOL_MIN_POINTS = 2048  # below this the pool startup dominates the work
+POOL_MIN_POINTS = 5000  # below this the pool startup outweighs the work
 
 
 def classify_direct(quiver, dims, theta, field, workers=1,
@@ -303,7 +309,7 @@ def classify_direct(quiver, dims, theta, field, workers=1,
     at most os.cpu_count() processes; partial tables merge by addition.
     """
     dims = tuple(dims)
-    theta = tuple(theta)
+    theta = check_theta(quiver, theta)
     workers = min(workers, os.cpu_count() or 1)
     space = RepSpace(quiver, dims, field)
     check_rep_budget(space, max_reps)
@@ -329,7 +335,8 @@ def classify_direct(quiver, dims, theta, field, workers=1,
 
 class FiltrationCounter:
     """For every point, the number of filtrations with semistable
-    subquotients and strictly decreasing slopes.
+    subquotients and strictly decreasing slopes, in an array("q"), which
+    raises OverflowError rather than wrap a count.
 
     Organized like the scan classifier: a filtration is a first step (a
     subspace tuple) plus a filtration of the quotient with slopes below
@@ -357,8 +364,7 @@ class FiltrationCounter:
         theta = cls.theta
         out = None
         if bound is None or slope(theta, dims) < bound:
-            tids = cls.table(dims).type_ids
-            out = [1 if t == 0 else 0 for t in tids]
+            out = array("q", (t == 0 for t in cls.table(dims).type_ids))
         for e in nonzero_subvectors(dims):
             if e == dims:
                 continue
@@ -371,7 +377,8 @@ class FiltrationCounter:
                 continue
             ss_ids = cls.table(e).type_ids
             if out is None:
-                out = [0] * RepSpace(cls.quiver, dims, cls.field).point_count
+                out = array("q", [0]) * RepSpace(
+                    cls.quiver, dims, cls.field).point_count
             for i0, u0, w0, last in cls.rows(dims, e):
                 for i, u, w in last:
                     if ss_ids[u0 + u] == 0:
@@ -384,10 +391,10 @@ class FiltrationCounter:
 
 def count_hn_filtrations(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
                          max_tuples=DEFAULT_MAX_TUPLES):
-    """Number of valid filtrations of every point, by representation index."""
+    """Filtration count of every point by representation index, an array("q")."""
     classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
     result = FiltrationCounter(classifier).counts(tuple(dims), None)
     if result is None:
         space = RepSpace(quiver, tuple(dims), field)
-        result = [0] * space.point_count
+        result = array("q", [0]) * space.point_count
     return result

@@ -54,11 +54,16 @@ def int_vector(values, name, nonnegative=False):
     return values
 
 
-def check_vector(quiver, vec, name):
-    vec = int_vector(vec, name, nonnegative=True)
+def check_vector(quiver, vec, name, nonnegative=True):
+    vec = int_vector(vec, name, nonnegative)
     if len(vec) != quiver.vertex_count:
         raise ValueError(f"{name} has length {len(vec)}, expected {quiver.vertex_count}")
     return vec
+
+
+def check_theta(quiver, theta):
+    """The character as a tuple of one int per vertex, or ValueError."""
+    return check_vector(quiver, theta, "character", nonnegative=False)
 
 
 def total_dim(dims):

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BudgetExceeded
-from .quiver import (check_vector, int_vector, nonzero_subvectors,
-                     rep_space_dim, slope, slope_ranks, total_dim)
+from .quiver import (check_theta, check_vector, int_vector,
+                     nonzero_subvectors, rep_space_dim, slope, slope_ranks,
+                     total_dim)
 
 DEFAULT_MAX_TYPE_DIM = 64
-MAX_TYPES = 2**15  # as many ids as the scan's array("h") of type ids holds
+MAX_TYPES = 2**15  # as many ids as a widened array("h") of scan type ids holds
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def enumerate_hn_types(quiver, dims, theta):
     stops with BudgetExceeded.
     """
     dims = check_vector(quiver, dims, "dimension vector")
-    theta = int_vector(theta, "character")
+    theta = check_theta(quiver, theta)
     check_type_budget(dims)
     rank = slope_ranks(theta, dims)  # every piece is a subvector of dims
     # per remaining vector, its (rank, piece, what is left) triples,

@@ -290,6 +290,22 @@ def test_verify_non_coprime_skips_torsor(k2_22_file, capsys):
     assert "torsor check skipped" in out
 
 
+def test_verify_cross_check_starts_no_pool(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    # the 4,096 points of K2 (2,3) at q=2, the most the cross-check takes,
+    # with two workers on two CPUs: a pool would cost more than it saves
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "k2_23.problem"
+    path.write_text(K2_PROBLEM.replace("dim 1 1", "dim 2 3"), encoding="utf-8")
+    assert main(["verify", str(path), "--qmax", "2", "--threads", "2"]) == 0
+    assert "q=2: engines ok" in capsys.readouterr().out
+    assert pools == []
+
+
 def test_verify_json(k2_file, capsys):
     assert main(["verify", k2_file, "--qmax", "2", "--threads", "1",
                  "--json"]) == 0

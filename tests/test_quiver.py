@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 
 from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
-                         enumerate_hn_types, field_table, gl_order,
-                         gl_order_poly, group_order_poly, kronecker,
+                         classify_direct, enumerate_hn_types, field_table,
+                         gl_order, gl_order_poly, group_order_poly, kronecker,
                          moduli_count_poly, rep_space_dim,
                          semistable_count_poly, semistable_count_polys, slope)
+from quivercount.exhaustive import ScanClassifier
 
 from conftest import a2_quiver
 
@@ -29,7 +30,8 @@ NOT_INT, NEGATIVE = "not an int", "entry -1, not an int >= 0"
 LENGTH = "length 3"
 
 # each entry point with a vector holding a non-int, a dimension vector
-# with a negative entry, or one whose length is not the vertex count
+# with a negative entry, or a vector (the character included) whose
+# length is not the vertex count
 BAD_VECTORS = [
     ("quiver-vertex-count", lambda: Quiver(2.0, ()), NOT_INT),
     ("quiver-arrow-float", lambda: Quiver(2, ((0.9, 1),)), NOT_INT),
@@ -61,6 +63,18 @@ BAD_VECTORS = [
      NEGATIVE),
     ("moduli-length", lambda: moduli_count_poly(K2, (1, 1, 0), (1, 0)),
      LENGTH),
+    ("hn-types-theta-length",
+     lambda: enumerate_hn_types(K2, (1, 2), (1, 0, 5)), LENGTH),
+    ("semistable-poly-theta-length",
+     lambda: semistable_count_poly(K2, (1, 2), (1, 0, 5)), LENGTH),
+    ("moduli-theta-length", lambda: moduli_count_poly(K2, (1, 2), (1, 0, 5)),
+     LENGTH),
+    ("scan-theta", lambda: ScanClassifier(K2, (1, 0.0), field_table(2)),
+     NOT_INT),
+    ("scan-theta-length",
+     lambda: ScanClassifier(K2, (1, 0, 5), field_table(2)), LENGTH),
+    ("direct-theta-length",
+     lambda: classify_direct(K2, (1, 2), (1, 0, 5), field_table(2)), LENGTH),
 ]
 
 

@@ -293,7 +293,7 @@ def test_scan_types_match_the_procedure_at_every_point(case):
         assert table.types[table.type_ids[idx]] == beta
     assert sum(table.counts.values()) == space.point_count
     counts = count_hn_filtrations(quiver, dims, theta, field)
-    assert counts == [1] * space.point_count
+    assert list(counts) == [1] * space.point_count
 
 
 @DETERMINISTIC

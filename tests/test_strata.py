@@ -14,7 +14,8 @@ from quivercount import (BudgetExceeded, HNType, Quiver, RepSpace,
                          field_table, hn_filtration, is_subrep, kronecker,
                          nonzero_subvectors, quotient_rep, slope, sub_rep,
                          trivial_type)
-from quivercount.exhaustive import ScanClassifier, SpaceTable
+from quivercount.exhaustive import (FiltrationCounter, ScanClassifier,
+                                    SpaceTable)
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
 
@@ -122,7 +123,7 @@ def test_classify_arrowless_quiver(f2):
     scan = classify_scan(quiver, (1, 1), THETA, f2).counts
     assert scan == classify_direct(quiver, (1, 1), THETA, f2)
     assert scan == {HNType(THETA, ((1, 0), (0, 1))): 1}
-    assert count_hn_filtrations(quiver, (2, 2), THETA, f2) == [1]
+    assert list(count_hn_filtrations(quiver, (2, 2), THETA, f2)) == [1]
 
 
 ENGINE_CASES = [
@@ -178,11 +179,10 @@ def test_classify_direct_workers(f2, f3, monkeypatch):
     import quivercount.exhaustive as exhaustive
 
     quiver = kronecker(2)
-    # 4,096 points take the pool at the default threshold
-    assert RepSpace(quiver, (2, 3), f2).point_count >= exhaustive.POOL_MIN_POINTS
+    # every space takes the pool
+    monkeypatch.setattr(exhaustive, "POOL_MIN_POINTS", 1)
     assert (classify_direct(quiver, (2, 3), THETA, f2, workers=2)
             == classify_direct(quiver, (2, 3), THETA, f2, workers=1))
-    monkeypatch.setattr(exhaustive, "POOL_MIN_POINTS", 1)
     seq = classify_direct(quiver, (1, 2), THETA, f3, workers=1)
     par = classify_direct(quiver, (1, 2), THETA, f3, workers=2)
     assert seq == par
@@ -191,6 +191,8 @@ def test_classify_direct_workers(f2, f3, monkeypatch):
 def test_classify_direct_caps_workers_at_the_cpu_count(f2, monkeypatch):
     import concurrent.futures
     import os
+
+    import quivercount.exhaustive as exhaustive
 
     # a pool that starts no process: it records its size and maps serially
     sizes = []
@@ -211,6 +213,7 @@ def test_classify_direct_caps_workers_at_the_cpu_count(f2, monkeypatch):
     quiver = kronecker(2)
     serial = classify_direct(quiver, (2, 3), THETA, f2, workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(exhaustive, "POOL_MIN_POINTS", 1)
     assert classify_direct(quiver, (2, 3), THETA, f2, workers=10**6) == serial
     # one pool of one process per CPU; on one CPU no pool at all
     cpus = os.cpu_count() or 1
@@ -310,6 +313,32 @@ def test_scan_rejects_an_unstable_restriction(f2):
                        match=r"extracted maximal destabilizing piece is not "
                              r"semistable at index 0 of \(1, 1\)"):
         cls.table((1, 1))
+
+
+def test_scan_type_ids_are_one_byte_per_point(f2):
+    table = ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
+    assert type(table.type_ids) is bytearray
+    assert len(table.type_ids) == 4096
+
+
+def test_scan_type_ids_widen_in_the_middle_of_a_scan(f2, monkeypatch):
+    import quivercount.exhaustive as exhaustive
+
+    # a byte that holds two ids: every table widens at its third type,
+    # after its first destabilizer group has claimed points
+    monkeypatch.setattr(exhaustive, "BYTE_IDS", 2)
+    quiver, dims = kronecker(2), (2, 3)
+    cls = ScanClassifier(quiver, THETA, f2)
+    table = cls.table(dims)
+    assert len(table.types) > 2 and table.type_ids.typecode == "h"
+    assert len(table.type_ids) == 4096
+    for t in cls.tables.values():
+        assert type(t.type_ids) is (array if len(t.types) > 2 else bytearray)
+    for M in enumerate_reps(quiver, dims, f2):
+        _, beta = hn_filtration(M, THETA)
+        assert table.types[table.type_ids[M.index]] == beta
+    assert table.counts == classify_direct(quiver, dims, THETA, f2)
+    assert list(FiltrationCounter(cls).counts(dims)) == [1] * 4096
 
 
 def test_type_ids_past_the_array_cap_exceed_the_budget(f2, monkeypatch):
