@@ -473,8 +473,9 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--qmax", type=int, help="check all prime powers <= QMAX")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker processes for the point-by-point engine, "
-                        "at most the CPU count")
+                   help="worker processes for the point-by-point engine; its "
+                        "cross-check stays below the pool threshold, so it "
+                        "runs in one process")
 
     p = add("purity-fit", _cmd_purity_fit,
             "fit sampled counts by a (periodic) polynomial in q^n")

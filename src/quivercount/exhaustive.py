@@ -4,11 +4,11 @@ Two independent routes compute the stratum table:
 
 * ``classify_direct`` runs the filtration procedure point by point; it
   is the reference route and can spread index ranges over worker
-  processes.  A point's type is the dimension vector of its maximal
-  destabilizing subrepresentation T followed by the type of M/T, and
-  the types of the quotients are memoized by (dimension vector, index)
-  for one index range, so each worker classifies a distinct quotient
-  once.
+  processes.  A point's type is the dimension vectors of its
+  ``stability.hn_chain`` (T, the chain of M/T), the walk that
+  ``hn_filtration`` lifts, with the quotients' chains memoized by
+  (dimension vector, index) for one index range, so each worker
+  classifies a distinct quotient once.
 * ``classify_scan`` turns the quantifier around: for every candidate
   destabilizing subspace tuple it enumerates the representations that
   preserve it.  Preserving a fixed tuple is a linear condition, so the
@@ -47,11 +47,10 @@ from itertools import product
 from . import stability
 from .errors import BudgetExceeded, TheoremViolation
 from .linalg import action_table, decode_vector, encode_columns
-from .quiver import (check_theta, nonzero_subvectors, slope, slope_ranks,
-                     total_dim)
+from .quiver import check_theta, nonzero_subvectors, slope, total_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   catalog_range, check_rep_budget, check_tuple_budget,
-                  quotient_rep, subspace_catalog)
+                  subspace_catalog)
 from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
 
 BYTE_IDS = 256  # the type ids a bytearray holds; the next type widens it
@@ -231,6 +230,10 @@ class ScanClassifier:
                         tid = lift[qt]
                         if tid is None:
                             pieces = (e,) + quot.types[qt].pieces
+                            if key[0] <= slope(theta, pieces[1]):
+                                raise TheoremViolation(
+                                    "HN slopes do not strictly decrease: "
+                                    f"{list(pieces)} at index {idx} of {dims}")
                             tid = type_index.get(pieces)
                             if tid is None:
                                 tid = len(types)
@@ -268,33 +271,14 @@ def classify_scan(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
 
 
 def _direct_range(quiver, dims, theta, field, start, stop, max_tuples):
-    """The HN type counts of the points start .. stop - 1, by pieces.
-
-    A point's type is (dim T,) followed by the type of M/T, T its maximal
-    destabilizing subrepresentation (Reineke 2003).  The types of the
-    quotients are memoized by (dimension vector, index) for this call
-    only, so each distinct quotient is classified once.
-    """
+    """The HN type counts, by pieces, of the points start .. stop - 1,
+    with one hn_chain memo for the call: each quotient is walked once."""
     space = RepSpace(quiver, dims, field)
-    ranks = slope_ranks(theta, dims)
     memo = {}
-
-    def pieces_of(M):
-        T = stability.maximal_destabilizing(M, theta, max_tuples=max_tuples)
-        if T.is_full():
-            return (T.dims,)
-        Q = quotient_rep(M, T)
-        key = (Q.dims, Q.index)
-        tail = memo.get(key)
-        if tail is None:
-            tail = memo[key] = pieces_of(Q)
-        return (T.dims,) + tail
-
     counter = Counter()
     for idx in range(start, stop):
-        pieces = pieces_of(space.rep(idx))
-        stability.check_decreasing(ranks, pieces)
-        counter[pieces] += 1
+        chain = stability.hn_chain(space.rep(idx), theta, max_tuples, memo)
+        counter[tuple(T.dims for T in chain)] += 1
     return counter
 
 
@@ -351,7 +335,7 @@ class FiltrationCounter:
         self.memo = {}
 
     def counts(self, dims, bound=None):
-        """Count table for the space, or None if identically zero.
+        """Count table for the space, all zeros where no filtration fits.
 
         ``bound`` restricts to filtrations whose first slope is
         strictly below it; None means unrestricted.
@@ -362,9 +346,11 @@ class FiltrationCounter:
         dims = tuple(dims)
         cls = self.classifier
         theta = cls.theta
-        out = None
         if bound is None or slope(theta, dims) < bound:
             out = array("q", (t == 0 for t in cls.table(dims).type_ids))
+        else:
+            out = array("q", [0]) * RepSpace(
+                cls.quiver, dims, cls.field).point_count
         for e in nonzero_subvectors(dims):
             if e == dims:
                 continue
@@ -373,18 +359,13 @@ class FiltrationCounter:
                 continue
             quot_dims = tuple(d - x for d, x in zip(dims, e))
             child = self.counts(quot_dims, mu_e)
-            if child is None:
+            if not any(child):
                 continue
             ss_ids = cls.table(e).type_ids
-            if out is None:
-                out = array("q", [0]) * RepSpace(
-                    cls.quiver, dims, cls.field).point_count
             for i0, u0, w0, last in cls.rows(dims, e):
                 for i, u, w in last:
                     if ss_ids[u0 + u] == 0:
                         out[i0 + i] += child[w0 + w]
-        if out is not None and not any(out):
-            out = None
         self.memo[key] = out
         return out
 
@@ -393,8 +374,4 @@ def count_hn_filtrations(quiver, dims, theta, field, max_reps=DEFAULT_MAX_REPS,
                          max_tuples=DEFAULT_MAX_TUPLES):
     """Filtration count of every point by representation index, an array("q")."""
     classifier = ScanClassifier(quiver, theta, field, max_reps, max_tuples)
-    result = FiltrationCounter(classifier).counts(tuple(dims), None)
-    if result is None:
-        space = RepSpace(quiver, tuple(dims), field)
-        result = array("q", [0]) * space.point_count
-    return result
+    return FiltrationCounter(classifier).counts(tuple(dims), None)

@@ -10,9 +10,10 @@ route for one representation; the exhaustive module classifies spaces.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import TheoremViolation
-from .quiver import slope_ranks
+from .quiver import check_theta, slope_ranks
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
                   enumerate_subreps, pullback, quotient_rep)
 from .strata import HNType
@@ -44,7 +45,7 @@ def _slope_ranks(M, theta):
     dims = M.space.dims
     if sum(dims) == 0:
         raise ValueError("stability is undefined for the zero dimension vector")
-    ranks = slope_ranks(tuple(theta), dims)
+    ranks = slope_ranks(check_theta(M.space.quiver, theta), dims)
     return ranks, ranks[dims]
 
 
@@ -105,11 +106,30 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     return best
 
 
+def hn_chain(M, theta, max_tuples, memo):
+    """The maximal destabilizing subrepresentations T1 of M, T2 of M/T1,
+    T3 of (M/T1)/T2, ..., the last one full, each in its own quotient's
+    coordinates.  The chain of each quotient is kept in ``memo`` under its
+    (dimension vector, index); each link checks, in the slope ranks of
+    the tuple ``theta``, that the slope of T exceeds the next piece's."""
+    T = maximal_destabilizing(M, theta, max_tuples=max_tuples)
+    if T.is_full():
+        return (T,)
+    Q = quotient_rep(M, T)
+    tail = memo.get((Q.dims, Q.index))
+    if tail is None:
+        tail = memo[Q.dims, Q.index] = hn_chain(Q, theta, max_tuples, memo)
+    ranks = slope_ranks(theta, M.space.dims)
+    if ranks[T.dims] <= ranks[tail[0].dims]:
+        raise TheoremViolation("HN slopes do not strictly decrease: "
+                               f"{[S.dims for S in (T, *tail)]}")
+    return (T, *tail)
+
+
 def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """The unique filtration with semistable subquotients of strictly
-    decreasing slope, built by extracting the maximal destabilizing
-    subrepresentation T of the successive quotients M -> M/T1 ->
-    (M/T1)/T2 -> ..., each step the last one with T lifted onto it.
+    decreasing slope: hn_chain's pieces, each lifted onto the step
+    before it.
 
     Returns the filtration (as subspace tuples of the ambient space)
     together with its instability type; a semistable M yields the
@@ -118,31 +138,10 @@ def hn_filtration(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     space = M.space
     if sum(space.dims) == 0:
         raise ValueError("the zero dimension vector has no filtration type")
-    steps = []
-    pieces = []
-    quotient = M
-    while True:
-        T = maximal_destabilizing(quotient, theta, max_tuples=max_tuples)
-        # on the first step the quotient is M itself, so T needs no lift
-        step = pullback(steps[-1], T) if steps else T
-        pieces.append(T.dims)
-        steps.append(step)
-        if step.is_full():
-            break
-        quotient = quotient_rep(quotient, T)
-    pieces = tuple(pieces)
-    check_decreasing(slope_ranks(tuple(theta), space.dims), pieces)
+    chain = hn_chain(M, tuple(theta), max_tuples, {})
+    steps = accumulate(chain, pullback)
     # the zero step last: its catalogs are built only once the first
     # search has checked the tuple budget
     zero = SubspaceTuple.zero(space.field, space.dims)
-    return Filtration((zero, *steps)), HNType(tuple(theta), pieces)
-
-
-def check_decreasing(ranks, pieces):
-    """Raise TheoremViolation unless the slope ranks of the pieces (read
-    from the rank table of a vector they all lie under) strictly
-    decrease."""
-    mus = [ranks[p] for p in pieces]
-    if any(a <= b for a, b in zip(mus, mus[1:])):
-        raise TheoremViolation(
-            f"HN slopes do not strictly decrease: {list(pieces)}")
+    return (Filtration((zero, *steps)),
+            HNType(tuple(theta), tuple(T.dims for T in chain)))

@@ -5,9 +5,11 @@ import pytest
 
 from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
                          classify_direct, enumerate_hn_types, field_table,
-                         gl_order, gl_order_poly, group_order_poly, kronecker,
-                         moduli_count_poly, rep_space_dim,
-                         semistable_count_poly, semistable_count_polys, slope)
+                         gl_order, gl_order_poly, group_order_poly,
+                         hn_filtration, is_semistable, is_stable, kronecker,
+                         maximal_destabilizing, moduli_count_poly,
+                         rep_space_dim, semistable_count_poly,
+                         semistable_count_polys, slope)
 from quivercount.exhaustive import ScanClassifier
 
 from conftest import a2_quiver
@@ -75,6 +77,14 @@ BAD_VECTORS = [
      lambda: ScanClassifier(K2, (1, 0, 5), field_table(2)), LENGTH),
     ("direct-theta-length",
      lambda: classify_direct(K2, (1, 2), (1, 0, 5), field_table(2)), LENGTH),
+] + [
+    # the per-point functions, at a point whose search would drop the
+    # extra entry
+    (f"{check.__name__}-theta-length",
+     lambda check=check: check(RepSpace(K2, (1, 2), field_table(2)).rep(0),
+                               (1, 0, 5)), LENGTH)
+    for check in (maximal_destabilizing, hn_filtration, is_stable,
+                  is_semistable)
 ]
 
 

@@ -26,7 +26,9 @@ from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          maximal_destabilizing, pullback, quotient_rep, slope,
                          sub_rep)
 from quivercount.linalg import decode_vector, encode_vector, mat_vec, rref
-from quivercount.rep import _image_in_sub_coords, subspace_catalog
+from quivercount.rep import (DEFAULT_MAX_TUPLES, _image_in_sub_coords,
+                             subspace_catalog)
+from quivercount.stability import hn_chain
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -302,10 +304,22 @@ def test_scan_types_match_the_procedure_at_every_point(case):
 @example(_space(((0, 1), (0, 1)), (1, 2), 3, (1, 0)))          # parallel arrows
 @example(_space(((0, 1), (1, 0), (1, 1)), (2, 1), 2, (1, 0)))  # 2-cycle, loop
 def test_direct_route_counts_the_procedure_types(case):
-    # the quotient memo of the direct route changes no point's type
+    # the quotient memo of the direct route changes no point's chain, and
+    # the chain's lifts are hn_filtration's steps
     space, theta = case
-    expected = Counter(hn_filtration(space.rep(idx), theta)[1]
-                       for idx in range(space.point_count))
+    memo = {}
+    expected = Counter()
+    for idx in range(space.point_count):
+        M = space.rep(idx)
+        chain = hn_chain(M, theta, DEFAULT_MAX_TUPLES, memo)
+        assert chain == hn_chain(M, theta, DEFAULT_MAX_TUPLES, {})
+        steps = [chain[0]]
+        for T in chain[1:]:
+            steps.append(pullback(steps[-1], T))
+        filtration, beta = hn_filtration(M, theta)
+        assert list(filtration.steps[1:]) == steps
+        assert beta.pieces == tuple(T.dims for T in chain)
+        expected[beta] += 1
     assert classify_direct(space.quiver, space.dims, theta,
                            space.field) == expected
 

@@ -315,6 +315,27 @@ def test_scan_rejects_an_unstable_restriction(f2):
         cls.table((1, 1))
 
 
+def test_scan_rejects_slopes_that_do_not_decrease(f2):
+    # a quotient table whose every point starts with a piece of slope 1,
+    # the slope of the group (1, 0) that claims points of K2 (2, 1)
+    cls = ScanClassifier(kronecker(2), THETA, f2)
+    cls.tables[(1, 1)] = SpaceTable(
+        (1, 1), [trivial_type(THETA, (1, 1)), HNType(THETA, ((1, 0), (0, 1)))],
+        bytearray([1] * 4), {})
+    with pytest.raises(TheoremViolation,
+                       match=r"HN slopes do not strictly decrease: "
+                             r"\[\(1, 0\), \(1, 0\), \(0, 1\)\] at index \d+ "
+                             r"of \(2, 1\)"):
+        cls.table((2, 1))
+
+
+def test_filtration_counts_are_zero_arrays_below_every_slope(f2):
+    # no filtration of K2 (2, 3) has a first slope below 0
+    counts = FiltrationCounter(ScanClassifier(kronecker(2), THETA, f2)).counts(
+        (2, 3), 0)
+    assert counts.typecode == "q" and len(counts) == 4096 and not any(counts)
+
+
 def test_scan_type_ids_are_one_byte_per_point(f2):
     table = ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
     assert type(table.type_ids) is bytearray
