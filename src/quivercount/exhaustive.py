@@ -28,9 +28,9 @@ Two independent routes compute the stratum table:
   group's, and an id at least the group's first id is a second hit
   inside the claiming group, which breaks uniqueness.  On the first hit
   the restriction must be semistable and the type is read off the
-  quotient's table, so a preserved point costs a few additions and
-  lookups instead of a subspace search.  This is what makes
-  million-point spaces affordable.
+  quotient's table, one id per (first piece, quotient type), so a
+  preserved point costs a few additions and lookups instead of a
+  subspace search.  This is what makes million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
 suite.  The same rows count, for every point, all filtrations with
@@ -49,8 +49,7 @@ from .errors import BudgetExceeded, TheoremViolation
 from .linalg import action_table, decode_vector, encode_columns
 from .quiver import check_theta, nonzero_subvectors, slope, total_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
-                  catalog_range, check_rep_budget, check_tuple_budget,
-                  subspace_catalog)
+                  catalog_dim, check_rep_budget, check_tuple_budget)
 from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
 
 BYTE_IDS = 256  # the type ids a bytearray holds; the next type widens it
@@ -137,23 +136,24 @@ class ScanClassifier:
         self.tables = {}
         self.block_tables = {}
 
-    def triples(self, dims, e, ords):
+    def triples(self, dims, records):
         """Per arrow, the (index, restriction, quotient) triples of the
-        matrices preserving the subspace tuple with catalog ordinals
-        ``ords`` (of dimension vector ``e``), each scaled by the arrow's
-        stride in the space of dims, of e and of dims - e."""
+        matrices preserving the subspace tuple with catalog records
+        ``records`` in the space of dims, each scaled by the arrow's
+        stride in the space of dims, of the records' dimension vector e
+        and of dims - e.  Block tables are kept by (source record,
+        target record)."""
         quiver, field = self.quiver, self.field
+        e = tuple(r.k for r in records)
         quot_dims = tuple(d - x for d, x in zip(dims, e))
         strides = zip(*(RepSpace(quiver, v, field).arrow_strides
                         for v in (dims, e, quot_dims)))
         lists = []
         for (s, t), (ps, ss, qs) in zip(quiver.arrows, strides):
-            key = (dims[s], dims[t], ords[s], ords[t])
+            key = (records[s], records[t])
             table = self.block_tables.get(key)
             if table is None:
-                table = self.block_tables[key] = BlockTable(
-                    subspace_catalog(field, dims[s])[ords[s]],
-                    subspace_catalog(field, dims[t])[ords[t]])
+                table = self.block_tables[key] = BlockTable(*key)
             lists.append([(a * ps, u * ss, w * qs)
                           for u, pairs in table.by_sub.items()
                           for a, w in pairs])
@@ -168,9 +168,9 @@ class ScanClassifier:
         w0 + w) for (i, u, w) in ``last``, arrow 0's triple list, a loop
         the caller runs.  An arrowless quiver has one point, the empty sum.
         """
-        per_vertex = [catalog_range(self.field, n, k) for n, k in zip(dims, e)]
-        for ords in product(*per_vertex):
-            last, *outer = self.triples(dims, e, ords) or [[(0, 0, 0)]]
+        for records in product(*(catalog_dim(self.field, n, k)
+                                 for n, k in zip(dims, e))):
+            last, *outer = self.triples(dims, records) or [[(0, 0, 0)]]
             for combo in product(*outer):
                 i0 = u0 = w0 = 0
                 for i, u, w in combo:
@@ -199,10 +199,8 @@ class ScanClassifier:
                 groups.setdefault((mu_e, total_dim(e)), []).append(e)
         group_keys = sorted(groups, key=lambda k: (-k[0], -k[1]))
 
-        trivial = trivial_type(theta, dims)
-        types = [trivial]
+        types = [trivial_type(theta, dims)]
         counts = [0]
-        type_index = {trivial.pieces: 0}
         type_ids = bytearray(N)
         for key in group_keys:
             first = len(types)  # this group's types get ids from here on
@@ -234,19 +232,17 @@ class ScanClassifier:
                                 raise TheoremViolation(
                                     "HN slopes do not strictly decrease: "
                                     f"{list(pieces)} at index {idx} of {dims}")
-                            tid = type_index.get(pieces)
-                            if tid is None:
-                                tid = len(types)
-                                if tid > MAX_TYPE_ID:
-                                    raise BudgetExceeded(
-                                        f"more than {MAX_TYPE_ID + 1} types "
-                                        f"in the space of {dims}")
-                                if tid == BYTE_IDS:
-                                    # array("h", a bytearray) reads byte pairs
-                                    type_ids = array("h", iter(type_ids))
-                                type_index[pieces] = tid
-                                types.append(HNType(theta, pieces))
-                                counts.append(0)
+                            # new (e, qt): other pairs give other pieces
+                            tid = len(types)
+                            if tid > MAX_TYPE_ID:
+                                raise BudgetExceeded(
+                                    f"more than {MAX_TYPE_ID + 1} types "
+                                    f"in the space of {dims}")
+                            if tid == BYTE_IDS:
+                                # array("h", a bytearray) reads byte pairs
+                                type_ids = array("h", iter(type_ids))
+                            types.append(HNType(theta, pieces))
+                            counts.append(0)
                             lift[qt] = tid
                         type_ids[idx] = tid
                         counts[tid] += 1

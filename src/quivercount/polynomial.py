@@ -176,7 +176,3 @@ class CountPolynomial:
 
 def _coerce(x):
     return x if isinstance(x, CountPolynomial) else CountPolynomial((x,))
-
-
-#: The polynomial q.
-Q = CountPolynomial((0, 1))

@@ -22,10 +22,11 @@ Conventions fixed here and relied on everywhere else:
   (linalg.encode_vector): code 0 is the zero vector, the unit vector
   e_c has code q^c, and digit k of the code is v[k].
 * subspace_catalog(field, n) lists every subspace of GF(q)^n once, by
-  dimension and then in enumerate_subspaces order; the ordinal of a
-  subspace is its position there.  Each record carries the RREF rows,
-  the codes of the rows and the set of codes of all members; the
-  catalog also finds a record by its rows and by its member set.
+  dimension and then in enumerate_subspaces order, and
+  catalog_dim(field, n, k) lists its k-dimensional records.  Each record
+  carries the RREF rows, the codes of the rows and the set of codes of
+  all members; the catalog also finds a record by its rows and by its
+  member set.
 * GF(q)^n = S + span(e_c : c a free column of S), and the coords table
   of a record names each vector v by its two parts: entry c is the pair
   (y, z) of codes with v = sum_r y[r] * row_r + sum_i z[i] * e_{free_i}.
@@ -46,10 +47,9 @@ Conventions fixed here and relied on everywhere else:
   path from bases.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from operator import attrgetter
 
@@ -116,17 +116,13 @@ class RepSpace:
             index += encode_matrix(mat, q) * stride
         return index
 
-    def zero_rep(self):
-        return self.rep(0)
-
     @cached_property
     def _subrep_plan(self):
         """The zero subspace's record at every vertex, the vertices
         enumerate_subreps fixes (those of nonzero dimension, or vertex 0
-        alone), each with its catalog, the (source, arrow) pairs into it
-        from earlier vertices and the (target, arrow) pairs out of it
-        into earlier vertices or itself, and the kept record trees."""
-        catalogs = tuple(subspace_catalog(self.field, n) for n in self.dims)
+        alone), each with the (source, arrow) pairs into it from earlier
+        vertices and the (target, arrow) pairs out of it into earlier
+        vertices or itself, and the kept record trees."""
         into = [[] for _ in self.dims]
         back = [[] for _ in self.dims]
         for k, (s, t) in enumerate(self.quiver.arrows):
@@ -135,8 +131,8 @@ class RepSpace:
             else:
                 back[s].append((t, k))
         order = [i for i, n in enumerate(self.dims) if n] or [0]
-        return ([catalog[0] for catalog in catalogs],
-                [(i, catalogs[i], into[i], back[i]) for i in order], {})
+        return ([catalog_dim(self.field, n, 0)[0] for n in self.dims],
+                [(i, into[i], back[i]) for i in order], {})
 
     def __eq__(self, other):
         return (isinstance(other, RepSpace) and self.quiver == other.quiver
@@ -241,11 +237,11 @@ class SubspaceTuple:
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(tuple(_catalog(field, n)[0][0] for n in ambient))
+        return cls(tuple(catalog_dim(field, n, 0)[0] for n in ambient))
 
     @classmethod
     def full(cls, field, ambient):
-        return cls(tuple(_catalog(field, n)[0][-1] for n in ambient))
+        return cls(tuple(catalog_dim(field, n, n)[0] for n in ambient))
 
     @property
     def field(self):
@@ -385,31 +381,29 @@ class SubspaceInfo:
 
 @lru_cache(maxsize=64)
 def _catalog(field, n):
-    # the records, then each by rows and by member set; an evicted catalog's
-    # records stay valid: ordinals are deterministic, contains reads members
-    records = tuple(SubspaceInfo(field, rows, n)
-                    for k in range(n + 1)
-                    for rows in enumerate_subspaces(n, k, field))
-    return (records, {r.rows: r for r in records},
+    # the records of each dimension, then each record by rows and by member
+    # set; an evicted catalog's records stay valid: contains reads members
+    by_dim = tuple(tuple(SubspaceInfo(field, rows, n)
+                         for rows in enumerate_subspaces(n, k, field))
+                   for k in range(n + 1))
+    records = list(chain.from_iterable(by_dim))
+    return (by_dim, {r.rows: r for r in records},
             {r.members: r for r in records})
 
 
 def subspace_catalog(field, n):
-    """All subspaces of GF(q)^n as SubspaceInfo records, cached.
+    """All subspaces of GF(q)^n as their cached SubspaceInfo records.
 
     Ordered by dimension, then by generation order of
     enumerate_subspaces; the order is deterministic.
     """
-    return _catalog(field, n)[0]
+    return tuple(chain.from_iterable(_catalog(field, n)[0]))
 
 
-def catalog_range(field, n, k):
-    """The ordinals of the k-dimensional subspaces in
-    subspace_catalog(field, n), a range since the catalog is ordered by
-    dimension."""
-    catalog = subspace_catalog(field, n)
-    return range(bisect_left(catalog, k, key=_DIM),
-                 bisect_right(catalog, k, key=_DIM))
+def catalog_dim(field, n, k):
+    """The k-dimensional records of subspace_catalog(field, n), in its
+    order."""
+    return _catalog(field, n)[0][k]
 
 
 @lru_cache(maxsize=256)
@@ -469,24 +463,23 @@ def is_subrep(M, S):
 
 def _record_tree(space, admissible):
     """The records enumerate_subreps tries per level, as nodes (records,
-    children): the catalog ranges of the dimensions some admissible
-    vector allows after those already fixed, and the next level's node
-    by the dimension fixed here."""
+    children): the records of the dimensions some admissible vector
+    allows after those already fixed, and the next level's node by the
+    dimension fixed here."""
     _, levels, _ = space._subrep_plan
     order = [level[0] for level in levels]
 
     def build(j, paths):
-        (i, catalog, _, _), children, records = levels[j], {}, []
+        i, children, records = levels[j][0], {}, []
         for path in paths:
             children.setdefault(path[0], set()).add(path[1:])
         for k in sorted(children):
-            ords = catalog_range(space.field, space.dims[i], k)
-            records += catalog[ords.start:ords.stop]
+            records += catalog_dim(space.field, space.dims[i], k)
             children[k] = build(j + 1, children[k]) if len(path) > 1 else None
         return tuple(records), children
 
     return build(0, {tuple(e[i] for i in order) for e in admissible
-                     if all(x <= n for x, n in zip(e, space.dims))})
+                     if all(0 <= x <= n for x, n in zip(e, space.dims))})
 
 
 def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
@@ -519,7 +512,7 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
     last = len(levels) - 1
 
     def extend(j, node):
-        i, _, into, checks = levels[j]
+        i, into, checks = levels[j]
         records, children = node
         need = set()
         for s, k in into:

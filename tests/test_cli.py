@@ -650,3 +650,29 @@ def test_purity_fit_huge_exponent_fails_at_once(tmp_path, period):
 def test_missing_file_is_an_error(capsys):
     assert main(["moduli-poly", "/nonexistent/file.problem"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("problem", "q 2\n", "missing 'vertices'"),
+    ("problem", "vertices 2\ntheta 1 0\n", "missing 'dim'"),
+    ("problem", K2_PROBLEM + "q\n", "line 7: expected at least one integer"),
+    ("problem", "vertices two\n", "line 1: not an integer"),
+    ("problem", K2_PROBLEM + "budget-reps 0\n", "line 7: value must be >= 1"),
+    ("problem", "dim 1 1\nvertices 2\n", "line 1: 'vertices' must come first"),
+    ("samples", "base_q 2\nbase_q 3\n1 3\n", "line 2: duplicate 'base_q'"),
+    ("samples", "base_q 2\n1 x\n", "line 2: bad sample line: '1 x'"),
+    ("samples", "base_q 2\n-1 3\n2 3\n", "sample exponents must be positive"),
+], ids=["missing-vertices", "missing-dim", "empty-q", "not-an-integer",
+        "budget-below-1", "dim-before-vertices", "duplicate-base-q",
+        "bad-sample-line", "negative-exponent"])
+def test_parse_errors_exit_2(tmp_path, capsys, kind, text, message):
+    path = tmp_path / f"input.{kind}"
+    path.write_text(text, encoding="utf-8")
+    argv = (["moduli-poly", str(path)] if kind == "problem" else
+            ["purity-fit", "--samples", str(path), "--period", "1",
+             "--degree", "1"])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -315,3 +315,14 @@ def test_quiver_with_no_arrows():
     quiver = Quiver(2, ())
     assert semistable_count_poly(quiver, (1, 1), THETA) == CountPolynomial.zero()
     assert rep_count_poly(quiver, (1, 1)) == CountPolynomial.one()
+
+
+@pytest.mark.parametrize("problem", [
+    (kronecker(3), (1, 1), THETA, 2), (kronecker(2), (1, 2), THETA, 2),
+    (kronecker(2), (1, 1), (2, 1), 2), (kronecker(2), (1, 1), THETA, 3),
+], ids=["quiver", "dims", "theta", "q"])
+def test_torsor_count_rejects_another_problems_table(problem):
+    quiver, dims, theta, q = problem
+    table = classify_scan(kronecker(2), (1, 1), THETA, field_table(2))
+    with pytest.raises(ValueError, match="belongs to another problem"):
+        torsor_orbit_count(quiver, dims, theta, field_table(q), table=table)

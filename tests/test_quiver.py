@@ -8,7 +8,7 @@ from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
                          gl_order, gl_order_poly, group_order_poly,
                          hn_filtration, is_semistable, is_stable, kronecker,
                          maximal_destabilizing, moduli_count_poly,
-                         rep_space_dim, semistable_count_poly,
+                         pg_order, rep_space_dim, semistable_count_poly,
                          semistable_count_polys, slope)
 from quivercount.exhaustive import ScanClassifier
 
@@ -157,3 +157,13 @@ def test_a2_shape():
     q = a2_quiver()
     assert q.vertex_count == 2
     assert q.arrows == ((0, 1),)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: gl_order(-1, 2), "negative matrix size"),
+    (lambda: gl_order(2, 1), "q must be at least 2"),
+    (lambda: pg_order((0, 0), 2), "no central torus to quotient by"),
+], ids=["gl-negative-size", "gl-q-below-2", "pg-zero-vector"])
+def test_group_orders_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -123,7 +123,8 @@ def test_subspace_total_counts(q):
 
 def test_coords_are_built_on_first_use():
     # a catalog never builds the q^n-entry coords tables of its records
-    records = _catalog.__wrapped__(field_table(3), 3)[0]
+    records = [rec for level in _catalog.__wrapped__(field_table(3), 3)[0]
+               for rec in level]
     assert all(rec._coords is None for rec in records)
     rec = records[len(records) // 2]
     assert rec.coords is rec.coords
@@ -210,14 +211,22 @@ def test_subreps_match_dumb_checker(f2, f3):
 
 def test_zero_rep_subrep_count(f2):
     space = RepSpace(kronecker(2), (2, 2), f2)
-    count = sum(1 for _ in enumerate_subreps(space.zero_rep()))
+    count = sum(1 for _ in enumerate_subreps(space.rep(0)))
     assert count == 5 * 5  # all pairs of subspaces of GF(2)^2
+
+
+def test_negative_admissible_vectors_admit_nothing(f2):
+    # a dimension -1 names no catalog level, not the last one
+    M = RepSpace(kronecker(2), (2, 2), f2).rep(0)
+    assert list(enumerate_subreps(M, admissible={(-1, -1)})) == []
+    assert [S.dims for S in enumerate_subreps(
+        M, admissible={(-1, 2), (0, 0)})] == [(0, 0)]
 
 
 def test_subrep_budget(f2):
     space = RepSpace(kronecker(2), (2, 2), f2)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_subreps(space.zero_rep(), max_tuples=10))
+        list(enumerate_subreps(space.rep(0), max_tuples=10))
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +421,40 @@ def test_enumerated_tuples_equal_their_checked_copies(f3):
             by_rows[rows] for by_rows, rows in zip(rebuilt, S.bases)))
         assert fresh.records != S.records
         assert fresh == S and hash(fresh) == hash(S)
+
+
+F2 = field_table(2)
+
+
+def _tuple(dims, bases):
+    return SubspaceTuple.of(F2, dims, bases)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Filtration((SubspaceTuple.zero(F2, (1, 1)),
+                         SubspaceTuple.full(F2, (1, 2)))),
+     "all steps must share the ambient dimensions"),
+    (lambda: Filtration((SubspaceTuple.zero(F2, (1, 1)),
+                         _tuple((1, 1), (((1,),), ())),
+                         _tuple((1, 1), ((), ((1,),))),
+                         SubspaceTuple.full(F2, (1, 1)))),
+     "total dimension must strictly increase"),
+    (lambda: associated_graded(
+        RepSpace(kronecker(2), (1, 1), F2).rep(0),
+        Filtration((SubspaceTuple.zero(F2, (1, 2)),
+                    SubspaceTuple.full(F2, (1, 2))))),
+     "filtration ambient does not match the representation"),
+    # a line (1, 0) at vertex 0, then another line with vertex 1: every
+    # tuple is a subrepresentation of the zero point, but they do not nest
+    (lambda: associated_graded(
+        RepSpace(kronecker(2), (2, 1), F2).rep(0),
+        Filtration((SubspaceTuple.zero(F2, (2, 1)),
+                    _tuple((2, 1), (((1, 0),), ())),
+                    _tuple((2, 1), (((0, 1),), ((1,),))),
+                    SubspaceTuple.full(F2, (2, 1))))),
+     "filtration steps are not nested"),
+], ids=["mixed-ambients", "not-increasing", "graded-ambient",
+        "graded-not-nested"])
+def test_filtrations_reject_bad_steps(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

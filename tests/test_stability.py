@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivercount import (RepSpace, associated_graded,
+from quivercount import (Quiver, RepSpace, associated_graded,
                          enumerate_hn_types, enumerate_reps, hn_filtration,
                          is_semistable, is_stable, kronecker,
                          maximal_destabilizing, slope)
@@ -170,3 +170,12 @@ def test_the_procedure_enumerates_through_the_stability_namespace(
     for idx in range(0, space.point_count, 16):
         hn_filtration(space.rep(idx), THETA)
     assert len(yielded) > 0
+
+
+@pytest.mark.parametrize("check", [maximal_destabilizing, is_stable,
+                                   is_semistable])
+def test_stability_is_undefined_for_the_zero_vector(f2, check):
+    M = RepSpace(Quiver(2, ()), (0, 0), f2).rep(0)
+    with pytest.raises(ValueError, match="stability is undefined for the "
+                                         "zero dimension vector"):
+        check(M, THETA)

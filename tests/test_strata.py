@@ -18,6 +18,7 @@ from quivercount.exhaustive import (FiltrationCounter, ScanClassifier,
                                     SpaceTable)
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
+from quivercount.strata import check_type_budget
 
 from conftest import a2_quiver
 
@@ -431,15 +432,13 @@ def test_block_tables_match_rep_conventions(quiver, dims, q, every):
     theta = (1,) + (0,) * (quiver.vertex_count - 1)
     cls = ScanClassifier(quiver, theta, field)
     rng = random.Random(q * 100 + sum(dims))
-    catalogs = [subspace_catalog(field, n) for n in dims]
-    picks = list(product(*(range(len(catalog)) for catalog in catalogs)))
+    picks = list(product(*(subspace_catalog(field, n) for n in dims)))
     if not every:
         rng.shuffle(picks)
         picks = picks[:6]
-    for ords in picks:
-        S = SubspaceTuple.of(field, dims, [catalog[o].rows for catalog, o
-                                           in zip(catalogs, ords)])
-        lists = cls.triples(dims, S.dims, ords)
+    for records in picks:
+        S = SubspaceTuple(records)
+        lists = cls.triples(dims, records)
         # completeness: the product size equals the direct count
         direct = sum(
             1 for M in enumerate_reps(quiver, dims, field) if is_subrep(M, S))
@@ -530,3 +529,19 @@ def test_randomized_small_instances_cross_check():
                     ss[piece] = semistable_count_poly(quiver, piece, theta)
             assert stratum_count_poly(quiver, beta, ss)(q) == \
                 scan.get(beta, 0)
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: HNType(THETA, ((1, 0, 0),)),
+     "piece length does not match the character"),
+    (lambda: check_type_budget((0, 0)), "no types for the zero dimension vector"),
+    (lambda: ScanClassifier(kronecker(2), THETA, field_table(2)).table((0, 0)),
+     "cannot classify the zero dimension vector"),
+], ids=["type-piece-length", "type-budget-zero", "scan-zero"])
+def test_types_and_scans_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
