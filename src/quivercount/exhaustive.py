@@ -17,19 +17,23 @@ Two independent routes compute the stratum table:
   coordinates of the catalog records' coords tables (see the rep module
   docstring).  Per arrow a block table lists the preserving matrices
   with their restriction and quotient blocks, scaled by strides to
-  (index, restriction, quotient) triples.  A table is built in codes: a
-  preserving matrix is the images of the source basis times the source's
-  coordinate map, one action-table lookup per row.  Points come in rows:
-  a row fixes every arrow but arrow 0, whose stride is 1, and its points
-  are its offsets plus each triple of arrow 0's list, a loop the scan
-  runs inline.  A point's type id, a bytearray entry (an array("h") one
-  from the table's 257th type on), is 0 while it is free.  A type's first
-  piece fixes its group, so the ids a group interns exceed every earlier
+  (index, pair) entries: restriction u and quotient w make the pair
+  u * W + w, W the quotient space's point count, so entries add up to
+  pair indices.  A table is built in codes: a preserving matrix is the
+  images of the source basis times the source's coordinate map, one
+  action-table lookup per row.  Points come in rows: a row fixes every
+  arrow but arrow 0, whose stride is 1, and its points are its offsets
+  plus each entry of arrow 0's list, a loop the scan runs inline.  A
+  point's type id, a bytearray entry (an array("h") one from the
+  table's 257th type on), is 0 while it is free.  A type's first piece
+  fixes its group, so the ids a group interns exceed every earlier
   group's, and an id at least the group's first id is a second hit
   inside the claiming group, which breaks uniqueness.  On the first hit
-  the restriction must be semistable and the type is read off the
-  quotient's table, one id per (first piece, quotient type), so a
-  preserved point costs a few additions and lookups instead of a
+  one lookup in a pair table, built per destabilizer dimension vector,
+  gives the quotient's type id, or a marker past the quotient's ids
+  where the restriction is not semistable, which the rare new-type
+  branch rejects; the type is one id per (first piece, quotient type).
+  So a preserved point costs a few additions and lookups instead of a
   subspace search.  This is what makes million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
@@ -101,6 +105,16 @@ class BlockTable:
                 for m_f, w in free]
 
 
+def pair_table(sub_ids, ids, marks):
+    """The table read at pair index u * len(ids) + w: per restriction u,
+    the quotient's ``ids`` where u's type id is 0 (semistable) and
+    ``marks`` elsewhere, built one restriction at a time."""
+    table = ids[:0]
+    for t in sub_ids:
+        table += marks if t else ids
+    return table
+
+
 class SpaceTable:
     """Classification of one representation space: the interned types and
     the type of every point by index."""
@@ -137,47 +151,48 @@ class ScanClassifier:
         self.block_tables = {}
 
     def triples(self, dims, records):
-        """Per arrow, the (index, restriction, quotient) triples of the
-        matrices preserving the subspace tuple with catalog records
-        ``records`` in the space of dims, each scaled by the arrow's
-        stride in the space of dims, of the records' dimension vector e
-        and of dims - e.  Block tables are kept by (source record,
-        target record)."""
+        """Per arrow, the (index, pair) entries of the matrices preserving
+        the subspace tuple with catalog records ``records`` in the space
+        of dims.  For restriction u and quotient w, each scaled by the
+        arrow's stride in the space of the records' dimension vector e and
+        of dims - e, the pair is u * W + w, W the quotient space's point
+        count, so sums of entries are pair indices u * W + w too.  Block
+        tables are kept by (source record, target record)."""
         quiver, field = self.quiver, self.field
         e = tuple(r.k for r in records)
         quot_dims = tuple(d - x for d, x in zip(dims, e))
-        strides = zip(*(RepSpace(quiver, v, field).arrow_strides
-                        for v in (dims, e, quot_dims)))
+        spaces = [RepSpace(quiver, v, field) for v in (dims, e, quot_dims)]
+        W = spaces[2].point_count
+        strides = zip(*(space.arrow_strides for space in spaces))
         lists = []
         for (s, t), (ps, ss, qs) in zip(quiver.arrows, strides):
             key = (records[s], records[t])
             table = self.block_tables.get(key)
             if table is None:
                 table = self.block_tables[key] = BlockTable(*key)
-            lists.append([(a * ps, u * ss, w * qs)
+            lists.append([(a * ps, u * ss * W + w * qs)
                           for u, pairs in table.by_sub.items()
                           for a, w in pairs])
         return lists
 
     def rows(self, dims, e):
         """The points of the space of dims preserving a subspace tuple of
-        dimension vector e, once per tuple, as rows (i0, u0, w0, last).
+        dimension vector e, once per tuple, as rows (i0, x0, last).
 
         A row fixes every arrow but arrow 0, whose stride is 1: its points
-        are the (index, restriction, quotient) triples (i0 + i, u0 + u,
-        w0 + w) for (i, u, w) in ``last``, arrow 0's triple list, a loop
-        the caller runs.  An arrowless quiver has one point, the empty sum.
+        are the (index, pair) entries (i0 + i, x0 + x) for (i, x) in
+        ``last``, arrow 0's list, a loop the caller runs.  An arrowless
+        quiver has one point, the empty sum.
         """
         for records in product(*(catalog_dim(self.field, n, k)
                                  for n, k in zip(dims, e))):
-            last, *outer = self.triples(dims, records) or [[(0, 0, 0)]]
+            last, *outer = self.triples(dims, records) or [[(0, 0)]]
             for combo in product(*outer):
-                i0 = u0 = w0 = 0
-                for i, u, w in combo:
+                i0 = x0 = 0
+                for i, x in combo:
                     i0 += i
-                    u0 += u
-                    w0 += w
-                yield i0, u0, w0, last
+                    x0 += x
+                yield i0, x0, last
 
     def table(self, dims):
         dims = tuple(dims)
@@ -208,10 +223,18 @@ class ScanClassifier:
                 quot_dims = tuple(d - x for d, x in zip(dims, e))
                 sub_ids = self.table(e).type_ids
                 quot = self.table(quot_dims)
-                quot_ids = quot.type_ids
-                lift = [None] * len(quot.types)
-                for i0, u0, w0, last in self.rows(dims, e):
-                    for i, u, w in last:
+                # the quotient's type id per (restriction, quotient) pair,
+                # or bad where the restriction is not semistable
+                bad, ids = len(quot.types), quot.type_ids
+                if bad < BYTE_IDS:
+                    marks = bytes([bad]) * len(ids)
+                else:  # array("H", a bytearray) would read byte pairs
+                    ids = array("H", iter(ids))
+                    marks = array("H", [bad]) * len(ids)
+                pairs = pair_table(sub_ids, ids, marks)
+                lift = [None] * (bad + 1)
+                for i0, x0, last in self.rows(dims, e):
+                    for i, x in last:
                         idx = i0 + i
                         claimed = type_ids[idx]
                         if claimed:
@@ -220,13 +243,13 @@ class ScanClassifier:
                                     "non-unique maximal destabilizing "
                                     f"subrepresentation at index {idx} of {dims}")
                             continue
-                        if sub_ids[u0 + u]:
-                            raise TheoremViolation(
-                                "extracted maximal destabilizing piece is not "
-                                f"semistable at index {idx} of {dims}")
-                        qt = quot_ids[w0 + w]
-                        tid = lift[qt]
+                        tid = lift[pairs[x0 + x]]
                         if tid is None:
+                            qt = pairs[x0 + x]
+                            if qt == bad:
+                                raise TheoremViolation(
+                                    "extracted maximal destabilizing piece is not "
+                                    f"semistable at index {idx} of {dims}")
                             pieces = (e,) + quot.types[qt].pieces
                             if key[0] <= slope(theta, pieces[1]):
                                 raise TheoremViolation(
@@ -321,9 +344,12 @@ class FiltrationCounter:
     Organized like the scan classifier: a filtration is a first step (a
     subspace tuple) plus a filtration of the quotient with slopes below
     the first slope, so the count table of a space is assembled from
-    count tables of smaller spaces keyed by a slope bound.  The
-    recursion never consults the filtration procedure, which is what
-    makes it an independent uniqueness oracle.
+    count tables of smaller spaces keyed by a slope bound.  The scan's
+    rows are read through a pair table that holds the quotient's count
+    where the restriction is semistable and 0 elsewhere, so a preserved
+    point takes one addition.  The recursion never consults the
+    filtration procedure, which is what makes it an independent
+    uniqueness oracle.
     """
 
     def __init__(self, classifier):
@@ -357,11 +383,11 @@ class FiltrationCounter:
             child = self.counts(quot_dims, mu_e)
             if not any(child):
                 continue
-            ss_ids = cls.table(e).type_ids
-            for i0, u0, w0, last in cls.rows(dims, e):
-                for i, u, w in last:
-                    if ss_ids[u0 + u] == 0:
-                        out[i0 + i] += child[w0 + w]
+            pairs = pair_table(cls.table(e).type_ids, child,
+                               array("q", [0]) * len(child))
+            for i0, x0, last in cls.rows(dims, e):
+                for i, x in last:
+                    out[i0 + i] += pairs[x0 + x]
         self.memo[key] = out
         return out
 

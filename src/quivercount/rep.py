@@ -465,7 +465,9 @@ def _record_tree(space, admissible):
     """The records enumerate_subreps tries per level, as nodes (records,
     children): the records of the dimensions some admissible vector
     allows after those already fixed, and the next level's node by the
-    dimension fixed here."""
+    dimension fixed here.  ValueError for a vector of the wrong length."""
+    for e in admissible:
+        check_vector(space.quiver, e, "admissible vector", nonnegative=False)
     _, levels, _ = space._subrep_plan
     order = [level[0] for level in levels]
 

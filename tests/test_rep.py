@@ -223,6 +223,16 @@ def test_negative_admissible_vectors_admit_nothing(f2):
         M, admissible={(-1, 2), (0, 0)})] == [(0, 0)]
 
 
+@pytest.mark.parametrize("vector", [(1, 0, 7), (1,), ()])
+def test_admissible_vectors_of_the_wrong_length_are_rejected(f2, vector):
+    # (1, 0, 7) used to yield the (1, 0) subreps and (1,) an IndexError
+    M = RepSpace(kronecker(2), (2, 2), f2).rep(0)
+    with pytest.raises(ValueError,
+                       match=rf"admissible vector has length {len(vector)}, "
+                             r"expected 2"):
+        enumerate_subreps(M, admissible={vector, (1, 0)})
+
+
 def test_subrep_budget(f2):
     space = RepSpace(kronecker(2), (2, 2), f2)
     with pytest.raises(BudgetExceeded):

@@ -330,9 +330,9 @@ def test_direct_route_counts_the_procedure_types(case):
 @example(_space(((0, 1), (0, 1)), (1, 2), 3, (1, 0)))          # parallel arrows
 @example(_space(((0, 1), (0, 0), (1, 0)), (2, 1), 2, (1, 0)))  # loop, 2-cycle
 def test_scan_rows_are_the_preserving_points(case):
-    # per dimension vector e, the rows' (index, restriction, quotient)
-    # triples are those of the pairs (M, S), S of dimension vector e,
-    # that is_subrep accepts, each once
+    # per dimension vector e, the rows' (index, pair) entries, the pair
+    # split into (restriction, quotient), are those of the pairs (M, S),
+    # S of dimension vector e, that is_subrep accepts, each once
     space, theta = case
     dims, field = space.dims, space.field
     classifier = ScanClassifier(space.quiver, theta, field)
@@ -349,9 +349,11 @@ def test_scan_rows_are_the_preserving_points(case):
             if is_subrep(M, S):
                 found[idx, sub_rep(M, S).index, quotient_rep(M, S).index] += 1
     for e, points in expected.items():
-        rows = Counter((i0 + i, u0 + u, w0 + w)
-                       for i0, u0, w0, last in classifier.rows(dims, e)
-                       for i, u, w in last)
+        quot_points = RepSpace(space.quiver, tuple(
+            n - k for n, k in zip(dims, e)), field).point_count
+        rows = Counter((i0 + i, *divmod(x0 + x, quot_points))
+                       for i0, x0, last in classifier.rows(dims, e)
+                       for i, x in last)
         assert rows == points
 
 

@@ -15,7 +15,7 @@ from quivercount import (BudgetExceeded, HNType, Quiver, RepSpace,
                          nonzero_subvectors, quotient_rep, slope, sub_rep,
                          trivial_type)
 from quivercount.exhaustive import (FiltrationCounter, ScanClassifier,
-                                    SpaceTable)
+                                    SpaceTable, pair_table)
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
 from quivercount.strata import check_type_budget
@@ -363,6 +363,49 @@ def test_scan_type_ids_widen_in_the_middle_of_a_scan(f2, monkeypatch):
     assert list(FiltrationCounter(cls).counts(dims)) == [1] * 4096
 
 
+def test_pair_tables_past_the_byte_edge(f2, monkeypatch):
+    import quivercount.exhaustive as exhaustive
+
+    # with three ids to a byte, the 3-type quotient (1, 2) of K2 (2, 3)
+    # keeps byte ids, but its marker 3 needs an array("H") pair table
+    monkeypatch.setattr(exhaustive, "BYTE_IDS", 3)
+    built = []
+
+    def recording(sub_ids, ids, marks):
+        table = pair_table(sub_ids, ids, marks)
+        built.append((marks[0], table))
+        return table
+
+    monkeypatch.setattr(exhaustive, "pair_table", recording)
+    quiver, dims = kronecker(2), (2, 3)
+    cls = ScanClassifier(quiver, THETA, f2)
+    table = cls.table(dims)
+    quot = cls.tables[(1, 2)]
+    assert len(quot.types) == 3 and type(quot.type_ids) is bytearray
+    assert 3 in dict(built)  # a pair table with the marker 3
+    for bad, t in built:
+        assert type(t) is bytearray if bad < 3 else t.typecode == "H"
+    for M in enumerate_reps(quiver, dims, f2):
+        _, beta = hn_filtration(M, THETA)
+        assert table.types[table.type_ids[M.index]] == beta
+    assert table.counts == classify_direct(quiver, dims, THETA, f2)
+
+
+def test_pair_table_marker_at_the_byte_edge_is_not_a_type(f2, monkeypatch):
+    import quivercount.exhaustive as exhaustive
+
+    # the 1-type quotient (0, 1) at one id to a byte: its marker 1 is in
+    # an array("H") pair table and must raise, not be read as a type id
+    monkeypatch.setattr(exhaustive, "BYTE_IDS", 1)
+    cls = ScanClassifier(kronecker(2), THETA, f2)
+    cls.tables[(1, 0)] = SpaceTable((1, 0), [trivial_type(THETA, (1, 0))],
+                                    array("h", [1]), {})
+    with pytest.raises(TheoremViolation,
+                       match=r"extracted maximal destabilizing piece is not "
+                             r"semistable at index 0 of \(1, 1\)"):
+        cls.table((1, 1))
+
+
 def test_type_ids_past_the_array_cap_exceed_the_budget(f2, monkeypatch):
     import quivercount.exhaustive as exhaustive
 
@@ -421,12 +464,12 @@ LOOP_CYCLE_ZERO = Quiver(3, ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1)))
 ], ids=["2-dims0", "3-dims1", "2-dims2", "4-dims3", "3-dims4", "4-dims5",
         "2-dims6"])
 def test_block_tables_match_rep_conventions(quiver, dims, q, every):
-    """Every triple the classifier lists for a subspace tuple
-    reconstructs a representation whose restriction and quotient
-    indices are the listed ones, by a reference built from row
-    reductions, and the triples exhaust the representations preserving
-    the tuple.  With ``every`` each tuple and each of its triples is
-    checked, otherwise 6 tuples and 10 sampled triples of each."""
+    """Every (index, pair) entry the classifier lists for a subspace
+    tuple reconstructs a representation whose restriction and quotient
+    indices are the pair's, by a reference built from row reductions,
+    and the entries exhaust the representations preserving the tuple.
+    With ``every`` each tuple and each of its entries is checked,
+    otherwise 6 tuples and 10 sampled entries of each."""
     field = field_table(q)
     space = RepSpace(quiver, dims, field)
     theta = (1,) + (0,) * (quiver.vertex_count - 1)
@@ -439,16 +482,20 @@ def test_block_tables_match_rep_conventions(quiver, dims, q, every):
     for records in picks:
         S = SubspaceTuple(records)
         lists = cls.triples(dims, records)
+        quot_points = RepSpace(
+            quiver, tuple(n - r.k for n, r in zip(dims, records)),
+            field).point_count
         # completeness: the product size equals the direct count
         direct = sum(
             1 for M in enumerate_reps(quiver, dims, field) if is_subrep(M, S))
         assert direct == prod(map(len, lists))
         # listed entries reconstruct consistently
         choices = (product(*lists) if every else
-                   ([rng.choice(triples) for triples in lists]
+                   ([rng.choice(entries) for entries in lists]
                     for _ in range(10)))
         for choice in choices:
-            idx, u, w = (sum(parts) for parts in zip(*choice))
+            idx, x = (sum(parts) for parts in zip(*choice))
+            u, w = divmod(x, quot_points)
             M = space.rep(idx)
             assert is_subrep(M, S)
             assert reference_blocks(M, S) == (u, w)
