@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import (coprime_witness, moduli_count_poly,
                        moduli_poly_from_semistable, rep_count_poly,
@@ -45,17 +45,14 @@ from .stability import hn_filtration
 from .strata import StratumTable, enumerate_hn_types
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(namedtuple(
+        "ProblemFile", "quiver dims theta q_list max_reps max_tuples",
+        defaults=(None, DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES))):
     """A parsed problem: the quiver, dimension vector and character,
-    optional default field sizes and enumeration budgets."""
+    optional default field sizes (a tuple, or None) and enumeration
+    budgets."""
 
-    quiver: Quiver
-    dims: tuple
-    theta: tuple
-    q_list: tuple | None = None
-    max_reps: int = DEFAULT_MAX_REPS
-    max_tuples: int = DEFAULT_MAX_TUPLES
+    __slots__ = ()
 
 
 def _data_lines(text):

@@ -23,7 +23,7 @@ the dimension vector of their first piece.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -62,15 +62,13 @@ def first_piece_factor(quiver, m, e):
                 start=CountPolynomial.monomial(exponent))
 
 
-@dataclass(frozen=True)
-class StratumFormula:
+class StratumFormula(namedtuple("StratumFormula", "beta factors")):
     """The closed form of one stratum count: one factor F(m, d^k) *
     ss(d^k) per HN piece d^k, with m the ambient vector less the earlier
     pieces; or the single factor zero when some piece has no semistable
     point."""
 
-    beta: object
-    factors: tuple
+    __slots__ = ()
 
     def polynomial(self):
         return prod(self.factors, start=CountPolynomial.one())

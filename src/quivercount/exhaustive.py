@@ -15,26 +15,27 @@ Two independent routes compute the stratum table:
   preserving set has a product parametrization (restriction block,
   mixing block, quotient block), in the restriction and quotient
   coordinates of the catalog records' coords tables (see the rep module
-  docstring).  Per arrow a block table lists the preserving matrices
-  with their restriction and quotient blocks, scaled by strides to
-  (index, pair) entries: restriction u and quotient w make the pair
-  u * W + w, W the quotient space's point count, so entries add up to
-  pair indices.  A table is built in codes: a preserving matrix is the
-  images of the source basis times the source's coordinate map, one
+  docstring).  Per arrow a block table holds the codes of the preserving
+  matrices in one array("q") per restriction block, beside one array of
+  the quotient blocks that every restriction shares; scaled by strides
+  they make (index, pair) entries: restriction u and quotient w make the
+  pair u * W + w, W the quotient space's point count, so entries add up
+  to pair indices.  A table is built in codes: a preserving matrix is
+  the images of the source basis times the source's coordinate map, one
   action-table lookup per row.  Points come in rows: a row fixes every
   arrow but arrow 0, whose stride is 1, and its points are its offsets
   plus each entry of arrow 0's list, a loop the scan runs inline.  A
-  point's type id, a bytearray entry (an array("h") one from the
-  table's 257th type on), is 0 while it is free.  A type's first piece
-  fixes its group, so the ids a group interns exceed every earlier
-  group's, and an id at least the group's first id is a second hit
-  inside the claiming group, which breaks uniqueness.  On the first hit
-  one lookup in a pair table, built per destabilizer dimension vector,
-  gives the quotient's type id, or a marker past the quotient's ids
-  where the restriction is not semistable, which the rare new-type
-  branch rejects; the type is one id per (first piece, quotient type).
-  So a preserved point costs a few additions and lookups instead of a
-  subspace search.  This is what makes million-point spaces affordable.
+  point's type id, a bytearray entry (an array("h") one from the table's
+  257th type on), is 0 while it is free.  A type's first piece fixes its
+  group, so the ids a group interns exceed every earlier group's, and an
+  id at least the group's first id is a second hit inside the claiming
+  group, which breaks uniqueness.  On the first hit one lookup in a pair
+  table, built per destabilizer dimension vector, gives the quotient's
+  type id, or a marker past the quotient's ids where the restriction is
+  not semistable, which the rare new-type branch rejects; the type is
+  one id per (first piece, quotient type).  So a preserved point costs a
+  few additions and lookups instead of a subspace search.  This is what
+  makes million-point spaces affordable.
 
 The two engines are compared on every small instance by the test
 suite.  The same rows count, for every point, all filtrations with
@@ -64,10 +65,13 @@ class BlockTable:
     """All matrices carrying the source record's subspace into the target
     record's, tabulated with their restriction and quotient blocks.
 
-    ``by_sub`` maps the encoded restricted map (in the subspace bases)
-    to the pairs (encoded matrix, encoded quotient map in the free
-    coordinates) with that restriction, in the coordinates of the target
-    record's coords table, which sub_rep and quotient_rep read too.
+    ``quots`` is an array("q") of the encoded quotient maps (in the free
+    coordinates), one per choice of free images, and ``by_sub`` maps the
+    encoded restricted map (in the subspace bases) to an array("q") of
+    the encoded matrices with that restriction, position j pairing with
+    ``quots[j]``; both in the coordinates of the target record's coords
+    table, which sub_rep and quotient_rep read too.  Every code is below
+    the point count of a space that passed the representation budget.
 
     A preserving matrix is A = M C, built in codes: the columns of M are
     the images of the source basis (its RREF rows, each sent into the
@@ -77,7 +81,7 @@ class BlockTable:
     the action table of C at row i of M.
     """
 
-    __slots__ = ("by_sub",)
+    __slots__ = ("by_sub", "quots")
 
     def __init__(self, src, tgt):
         field, q = src.field, src.field.q
@@ -90,19 +94,19 @@ class BlockTable:
             for y, z in (src.coords[q**j] for j in range(n))], n)
         zs = [z for _, z in tgt.coords]
         # per choice of free images: the free columns of M, and W
-        free = [(encode_columns((0,) * ks + f, nt, q),
-                 encode_columns([zs[c] for c in f], nt - kt, q))
-                for f in product(range(q**nt), repeat=n - ks)]
+        frees = list(product(range(q**nt), repeat=n - ks))
+        free = [encode_columns((0,) * ks + f, nt, q) for f in frees]
+        self.quots = array("q", [encode_columns([zs[c] for c in f], nt - kt, q)
+                                 for f in frees])
         row_weights = [q**(i * n) for i in range(nt)]
         width = q**n
         self.by_sub = {}
         for u in product(range(q**kt), repeat=ks):
             # the row columns of M, at digits disjoint from the free ones
             m_u = encode_columns([span[y] for y in u] + [0] * (n - ks), nt, q)
-            self.by_sub[encode_columns(u, kt, q)] = [
-                (sum(times_c[(m_u + m_f) // r % width] * r
-                     for r in row_weights), w)
-                for m_f, w in free]
+            self.by_sub[encode_columns(u, kt, q)] = array("q", [
+                sum(times_c[(m_u + m_f) // r % width] * r for r in row_weights)
+                for m_f in free])
 
 
 def pair_table(sub_ids, ids, marks):
@@ -171,8 +175,8 @@ class ScanClassifier:
             if table is None:
                 table = self.block_tables[key] = BlockTable(*key)
             lists.append([(a * ps, u * ss * W + w * qs)
-                          for u, pairs in table.by_sub.items()
-                          for a, w in pairs])
+                          for u, codes in table.by_sub.items()
+                          for a, w in zip(codes, table.quots)])
         return lists
 
     def rows(self, dims, e):

@@ -11,18 +11,15 @@ and verified against the full set of field axioms, so downstream code
 can index them freely in inner loops.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_Q = 16
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(namedtuple("PrimePower", "p e q")):
     """A prime power q = p^e."""
 
-    p: int
-    e: int
-    q: int
+    __slots__ = ()
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly

@@ -11,6 +11,7 @@ leave no remainder.  Quotient coefficients are taken by ``divmod``, in
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class InexactDivisionError(ArithmeticError):
@@ -66,16 +67,12 @@ class CountPolynomial:
         return all(c >= 0 for c in self.coeffs)
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CountPolynomial(
-            tuple(self[k] + other[k] for k in range(n)))
+        pairs = zip_longest(self.coeffs, _coerce(other).coeffs, fillvalue=0)
+        return CountPolynomial([a + b for a, b in pairs])
 
     def __sub__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CountPolynomial(
-            tuple(self[k] - other[k] for k in range(n)))
+        pairs = zip_longest(self.coeffs, _coerce(other).coeffs, fillvalue=0)
+        return CountPolynomial([a - b for a, b in pairs])
 
     def __neg__(self):
         return CountPolynomial(tuple(-c for c in self.coeffs))

@@ -9,7 +9,7 @@ never refute anything, so fit failure reports "inconclusive", never a
 refutation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import log2
 
@@ -22,19 +22,16 @@ INCONCLUSIVE = "inconclusive"
 MAX_SAMPLE_BITS = 2**16  # of the largest field size base_q^n
 
 
-@dataclass(frozen=True)
-class CountSamples:
+class CountSamples(namedtuple("CountSamples", "base_q samples")):
     """Sampled counts over the extension tower of a base field:
     samples[k] = (n, count) stands for the count over F_{q^n}."""
 
-    base_q: int
-    samples: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base_q < 2:
+    def __new__(cls, base_q, samples):
+        if base_q < 2:
             raise ValueError("base q must be at least 2")
-        pairs = tuple(sorted((int(n), int(c)) for n, c in self.samples))
-        object.__setattr__(self, "samples", pairs)
+        pairs = tuple(sorted((int(n), int(c)) for n, c in samples))
         ns = [n for n, _ in pairs]
         if len(set(ns)) != len(ns):
             raise ValueError("sample exponents must be distinct")
@@ -42,23 +39,22 @@ class CountSamples:
             raise ValueError("sample exponents must be positive")
         if any(c < 0 for _, c in pairs):
             raise ValueError("counts must be nonnegative")
-        if ns and ns[-1] * log2(self.base_q) > MAX_SAMPLE_BITS:
-            raise BudgetExceeded(f"{self.base_q}^{ns[-1]} exceeds the sample "
+        if ns and ns[-1] * log2(base_q) > MAX_SAMPLE_BITS:
+            raise BudgetExceeded(f"{base_q}^{ns[-1]} exceeds the sample "
                                  f"budget of {MAX_SAMPLE_BITS} bits")
+        return super().__new__(cls, base_q, pairs)
 
     def points(self):
         return [(self.base_q**n, count) for n, count in self.samples]
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(namedtuple("PurityReport",
+                              "verdict period polynomials details",
+                              defaults=(None, None, ""))):
     """Outcome of a fit.  For a periodic verdict, polynomials[r] is the
     fit for the class n = r (mod period)."""
 
-    verdict: str
-    period: int | None = None
-    polynomials: tuple | None = None
-    details: str = ""
+    __slots__ = ()
 
     def format_lines(self):
         lines = [f"verdict: {self.verdict}"]

@@ -5,7 +5,7 @@ vertex; slopes are exact Fractions so that every comparison made while
 stratifying is exact.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -13,26 +13,24 @@ from itertools import product
 from .polynomial import CountPolynomial
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     """A finite directed graph; loops and parallel arrows allowed.
 
     The arrow list order is part of the identity of the quiver: matrix
     tuples, representation indices and file formats all follow it.
     """
 
-    vertex_count: int
-    arrows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        int_vector((self.vertex_count,), "vertex count")
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count, arrows):
+        int_vector((vertex_count,), "vertex count")
+        if vertex_count < 1:
             raise ValueError("quiver needs at least one vertex")
-        object.__setattr__(self, "arrows", tuple(
-            int_vector(arrow, "arrow") for arrow in self.arrows))
-        for (s, t) in self.arrows:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
+        arrows = tuple(int_vector(arrow, "arrow") for arrow in arrows)
+        for (s, t) in arrows:
+            if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise ValueError(f"arrow ({s}, {t}) leaves the vertex range")
+        return super().__new__(cls, vertex_count, arrows)
 
     def __repr__(self):
         return f"Quiver({self.vertex_count}, {list(self.arrows)})"

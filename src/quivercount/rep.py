@@ -47,7 +47,7 @@ Conventions fixed here and relied on everywhere else:
   path from bases.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from math import prod
@@ -271,15 +271,13 @@ class SubspaceTuple:
         return self.dims == self.ambient
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(namedtuple("Filtration", "steps")):
     """A strictly increasing chain 0 = S^0 < S^1 < ... < S^n = full."""
 
-    steps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __new__(cls, steps):
+        steps = tuple(steps)
         if len(steps) < 2:
             raise ValueError("a filtration has at least the zero and full steps")
         ambient = steps[0].ambient
@@ -290,6 +288,7 @@ class Filtration:
         totals = [s.total_dim for s in steps]
         if any(a >= b for a, b in zip(totals, totals[1:])):
             raise ValueError("total dimension must strictly increase")
+        return super().__new__(cls, steps)
 
 
 # ---------------------------------------------------------------------------

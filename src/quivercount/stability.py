@@ -9,7 +9,7 @@ destabilizing one (Reineke 2003).  These functions are the reference
 route for one representation; the exhaustive module classifies spaces.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .errors import TheoremViolation
@@ -24,17 +24,17 @@ SEMISTABLE_NOT_STABLE = "semistable_not_stable"
 STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of a stability test, with a witness subrepresentation.
+class StabilityVerdict(namedtuple("StabilityVerdict", "status witness",
+                                  defaults=(None,))):
+    """Outcome of a stability test, with a witness subrepresentation (a
+    SubspaceTuple, or None).
 
     For an unstable representation the witness strictly exceeds the
     ambient slope; for a strictly semistable one it is a proper nonzero
     subrepresentation of equal slope.
     """
 
-    status: str
-    witness: SubspaceTuple | None = None
+    __slots__ = ()
 
     def is_semistable(self):
         return self.status != UNSTABLE

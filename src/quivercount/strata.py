@@ -7,7 +7,7 @@ character rather than stored, so a type cannot drift out of sync with
 the stability data.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .errors import BudgetExceeded
@@ -19,28 +19,28 @@ DEFAULT_MAX_TYPE_DIM = 64
 MAX_TYPES = 2**15  # as many ids as a widened array("h") of scan type ids holds
 
 
-@dataclass(frozen=True)
-class HNType:
+class HNType(namedtuple("HNType", "theta pieces")):
     """An ordered decomposition d = d^1 + ... + d^n with strictly
     decreasing slopes; indexes one stratum."""
 
-    theta: tuple
-    pieces: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", int_vector(self.theta, "character"))
-        object.__setattr__(self, "pieces", tuple(
-            int_vector(p, "piece", nonnegative=True) for p in self.pieces))
-        if not self.pieces:
+    def __new__(cls, theta, pieces):
+        theta = int_vector(theta, "character")
+        pieces = tuple(int_vector(p, "piece", nonnegative=True)
+                       for p in pieces)
+        if not pieces:
             raise ValueError("a type needs at least one piece")
-        for piece in self.pieces:
-            if len(piece) != len(self.theta):
+        for piece in pieces:
+            if len(piece) != len(theta):
                 raise ValueError("piece length does not match the character")
             if total_dim(piece) == 0:
                 raise ValueError("zero piece in an instability type")
+        self = super().__new__(cls, theta, pieces)
         mus = self.slopes
         if any(a <= b for a, b in zip(mus, mus[1:])):
             raise ValueError("slopes must strictly decrease")
+        return self
 
     @property
     def slopes(self):
@@ -121,15 +121,11 @@ def enumerate_hn_types(quiver, dims, theta):
     return types
 
 
-@dataclass
-class StratumTable:
-    """Exact point count of every nonempty stratum of one space."""
+class StratumTable(namedtuple("StratumTable", "quiver dims theta q counts")):
+    """Exact point count of every nonempty stratum of one space: the
+    counts dict maps an HNType to its points."""
 
-    quiver: object
-    dims: tuple
-    theta: tuple
-    q: int
-    counts: dict
+    __slots__ = ()
 
     def total(self):
         return sum(self.counts.values())
