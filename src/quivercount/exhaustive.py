@@ -7,8 +7,13 @@ Two independent routes compute the stratum table:
   processes.  A point's type is the dimension vectors of its
   ``stability.hn_chain`` (T, the chain of M/T), the walk that
   ``hn_filtration`` lifts, with the quotients' chains memoized by
-  (dimension vector, index) for one index range, so each worker
-  classifies a distinct quotient once.
+  ``rep.quotient_key`` (dimension vector, index) for one index range,
+  so each worker classifies a distinct quotient once and builds a
+  quotient point only then.  What depends only on the space and theta
+  is done once per space, not per point: the slope ranks and
+  admissible sets (``quiver.slope_sets``), the tuple budget check and
+  the record trees, whose nodes keep the records that contain each
+  image set seen.
 * ``classify_scan`` turns the quantifier around: for every candidate
   destabilizing subspace tuple it enumerates the representations that
   preserve it.  Preserving a fixed tuple is a linear condition, so the

@@ -119,9 +119,6 @@ class CountPolynomial:
             raise InexactDivisionError(f"{self} is not divisible by {other}")
         return CountPolynomial(quot)
 
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __call__(self, x):
         """Evaluate at an exact point; returns int when the value is integral."""
         acc = 0

@@ -104,6 +104,20 @@ def slope_ranks(theta, dims):
     return {e: rank[mu] for e, mu in zip(subs, mus)}
 
 
+@lru_cache(maxsize=1024)
+def slope_sets(theta, dims):
+    """slope_ranks(theta, dims), the rank mu of dims, and the frozensets
+    of the subvectors of rank above mu and of rank at least mu, dims
+    itself excluded: the dimension vectors that can destabilize a point
+    of dims, and those that can also make it strictly semistable."""
+    if not any(dims):
+        raise ValueError("stability is undefined for the zero dimension vector")
+    ranks = slope_ranks(theta, dims)
+    mu = ranks[dims]
+    return (ranks, mu, frozenset(e for e, r in ranks.items() if r > mu),
+            frozenset(e for e, r in ranks.items() if r >= mu and e != dims))
+
+
 def rep_space_dim(quiver, dims):
     """Affine dimension of the space of matrix tuples: sum of d_i * d_j."""
     return sum(dims[i] * dims[j] for (i, j) in quiver.arrows)

@@ -61,6 +61,7 @@ from .quiver import check_vector, rep_space_dim
 DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
 MAX_TABLE_ENTRIES = 2**14  # action-table entries per arrow's store on a space
+MAX_IMAGE_SETS = 2**10  # image sets per record-tree node's store
 
 # readers of catalog records, for building subspace tuples from them
 _ROWS = attrgetter("rows")
@@ -417,10 +418,13 @@ def subspace_count(n, q):
     return total
 
 
+@lru_cache(maxsize=256)
 def check_tuple_budget(dims, q, max_tuples):
     """Raise BudgetExceeded, before any catalog is built, when the
     subspace tuples of dims over GF(q) outnumber max_tuples; the count
-    is named by a lower bound on its bit length, never in full.
+    is named by a lower bound on its bit length, never in full.  A key
+    that passes is cached and not counted again; one that fails raises
+    on every call.
 
     The exact count at a vertex of dimension n has about n^2/4 * log2(q)
     bits, so the lower bound [n; n//2]_q >= q^(n^2 // 4) at the largest
@@ -462,9 +466,11 @@ def is_subrep(M, S):
 
 def _record_tree(space, admissible):
     """The records enumerate_subreps tries per level, as nodes (records,
-    children): the records of the dimensions some admissible vector
-    allows after those already fixed, and the next level's node by the
-    dimension fixed here.  ValueError for a vector of the wrong length."""
+    children, store): the records of the dimensions some admissible
+    vector allows after those already fixed, the next level's node by
+    the dimension fixed here, and a dict from an image set to the
+    records that contain it, cleared before it would hold more than
+    MAX_IMAGE_SETS sets.  ValueError for a vector of the wrong length."""
     for e in admissible:
         check_vector(space.quiver, e, "admissible vector", nonnegative=False)
     _, levels, _ = space._subrep_plan
@@ -477,7 +483,7 @@ def _record_tree(space, admissible):
         for k in sorted(children):
             records += catalog_dim(space.field, space.dims[i], k)
             children[k] = build(j + 1, children[k]) if len(path) > 1 else None
-        return tuple(records), children
+        return tuple(records), children, {}
 
     return build(0, {tuple(e[i] for i in order) for e in admissible
                      if all(0 <= x <= n for x, n in zip(e, space.dims))})
@@ -493,7 +499,10 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
     Vertices are fixed one at a time from the records that _record_tree
     admits.  Each arrow is checked as soon as both of its ends are fixed,
     by looking up the action-table images of the source rows among the
-    target record's members, so a failing prefix is never extended.  A
+    target record's members, so a failing prefix is never extended.  The
+    images of the arrows from fixed vertices form one set, and the
+    node's store gives the records that contain it, so a set seen before
+    at the node costs one lookup, not a subset test per record.  A
     vertex of dimension 0 has only the zero subspace, and every arrow at
     it is closed, so it is fixed up front: each other vertex has two or
     more subspaces, and the budget bounds the recursion depth by
@@ -514,14 +523,15 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
 
     def extend(j, node):
         i, into, checks = levels[j]
-        records, children = node
-        need = set()
-        for s, k in into:
-            act = acts[k]
-            need.update([act[c] for c in chosen[s].codes])
-        for rec in records:
-            if not need <= rec.members:
-                continue
+        records, children, store = node
+        need = frozenset([acts[k][c] for s, k in into for c in chosen[s].codes])
+        matches = store.get(need)
+        if matches is None:
+            if len(store) >= MAX_IMAGE_SETS:
+                store.clear()
+            matches = store[need] = tuple(
+                rec for rec in records if need <= rec.members)
+        for rec in matches:
             if checks and not all(
                     acts[k][c] in (rec if t == i else chosen[t]).members
                     for t, k in checks for c in rec.codes):
@@ -552,27 +562,38 @@ def _closed_records(M, S):
     return records
 
 
-def _induced_rep(M, S, quotient):
-    """The restriction of M to the subrepresentation S (quotient 0), or
-    the induced representation on the quotient by it (quotient 1), in
-    the coordinates of the coords tables: an arrow's column for a row of
-    the source subspace (a free source column) is the restriction
-    (quotient) coordinate of its image."""
+def _induced_key(M, S, quotient):
+    """The dimension vector and index of the restriction of M to the
+    subrepresentation S (quotient 0), or of the induced representation
+    on the quotient by it (quotient 1), in the coordinates of the coords
+    tables: an arrow's column for a row of the source subspace (a free
+    source column) is the restriction (quotient) coordinate of its
+    image."""
     records = _closed_records(M, S)
     space = M.space
     q = space.field.q
     new_dims = tuple(d - r.k if quotient else r.k
                      for d, r in zip(space.dims, records))
-    new_space = _space(space.quiver, new_dims, space.field)
-    index = 0
-    for (s, t), act, stride in zip(space.quiver.arrows, M.actions,
-                                   new_space.arrow_strides):
+    index, stride = 0, 1
+    for (s, t), act in zip(space.quiver.arrows, M.actions):
         sources = ([q**c for c in records[s].free_cols] if quotient
                    else records[s].codes)
         coords = records[t].coords
         index += stride * encode_columns(
             [coords[act[c]][quotient] for c in sources], new_dims[t], q)
-    return Representation(new_space, index)
+        stride *= q**(new_dims[s] * new_dims[t])
+    return new_dims, index
+
+
+def _induced_rep(M, S, quotient):
+    dims, index = _induced_key(M, S, quotient)
+    return _space(M.space.quiver, dims, M.space.field).rep(index)
+
+
+def quotient_key(M, S):
+    """The (dimension vector, index) of quotient_rep(M, S), found without
+    building the point."""
+    return _induced_key(M, S, 1)
 
 
 def quotient_rep(M, S):

@@ -13,9 +13,9 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .errors import TheoremViolation
-from .quiver import check_theta, slope_ranks
+from .quiver import check_theta, slope_ranks, slope_sets
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
-                  enumerate_subreps, pullback, quotient_rep)
+                  enumerate_subreps, pullback, quotient_key, quotient_rep)
 from .strata import HNType
 
 UNSTABLE = "unstable"
@@ -40,13 +40,9 @@ class StabilityVerdict(namedtuple("StabilityVerdict", "status witness",
         return self.status != UNSTABLE
 
 
-def _slope_ranks(M, theta):
-    """The slope rank table of M's subvectors and the rank of M itself."""
-    dims = M.space.dims
-    if sum(dims) == 0:
-        raise ValueError("stability is undefined for the zero dimension vector")
-    ranks = slope_ranks(check_theta(M.space.quiver, theta), dims)
-    return ranks, ranks[dims]
+def _slope_sets(M, theta):
+    """quiver.slope_sets of M's dimension vector, theta checked first."""
+    return slope_sets(check_theta(M.space.quiver, theta), M.space.dims)
 
 
 def is_semistable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
@@ -61,9 +57,8 @@ def is_semistable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
 
 def is_stable(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     """Three-way verdict: stable, strictly semistable, or unstable."""
-    ranks, mu = _slope_ranks(M, theta)
+    ranks, mu, _, upper = _slope_sets(M, theta)
     equal_witness = None
-    upper = frozenset(e for e, r in ranks.items() if r >= mu) - {M.space.dims}
     for S in enumerate_subreps(M, max_tuples=max_tuples, admissible=upper):
         if ranks[S.dims] > mu:
             return StabilityVerdict(UNSTABLE, S)
@@ -84,8 +79,7 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
     slope; a violation means the theory's uniqueness statement failed
     and is reported loudly.
     """
-    ranks, mu = _slope_ranks(M, theta)
-    above = frozenset(e for e, r in ranks.items() if r > mu)
+    ranks, _, above, _ = _slope_sets(M, theta)
     found = list(enumerate_subreps(M, max_tuples=max_tuples, admissible=above))
     if not found:
         return SubspaceTuple.full(M.space.field, M.space.dims)
@@ -109,16 +103,18 @@ def maximal_destabilizing(M, theta, max_tuples=DEFAULT_MAX_TUPLES):
 def hn_chain(M, theta, max_tuples, memo):
     """The maximal destabilizing subrepresentations T1 of M, T2 of M/T1,
     T3 of (M/T1)/T2, ..., the last one full, each in its own quotient's
-    coordinates.  The chain of each quotient is kept in ``memo`` under its
-    (dimension vector, index); each link checks, in the slope ranks of
-    the tuple ``theta``, that the slope of T exceeds the next piece's."""
+    coordinates.  The chain of each quotient is kept in ``memo`` under
+    its quotient_key, and the quotient point is built only on a miss;
+    each link checks, in the slope ranks of the tuple ``theta``, that the
+    slope of T exceeds the next piece's."""
     T = maximal_destabilizing(M, theta, max_tuples=max_tuples)
     if T.is_full():
         return (T,)
-    Q = quotient_rep(M, T)
-    tail = memo.get((Q.dims, Q.index))
+    key = quotient_key(M, T)
+    tail = memo.get(key)
     if tail is None:
-        tail = memo[Q.dims, Q.index] = hn_chain(Q, theta, max_tuples, memo)
+        Q = quotient_rep(M, T)
+        tail = memo[key] = hn_chain(Q, theta, max_tuples, memo)
     ranks = slope_ranks(theta, M.space.dims)
     if ranks[T.dims] <= ranks[tail[0].dims]:
         raise TheoremViolation("HN slopes do not strictly decrease: "

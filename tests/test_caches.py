@@ -1,10 +1,15 @@
 """Every functools cache in the package has a bound, so a long run of
 many problems cannot grow one without limit.
 
-The scan below sees only functools caches.  The action-table stores a
-RepSpace holds per arrow are plain dicts, bounded by
-rep.MAX_TABLE_ENTRIES; tests/test_rep.py
-test_action_table_store_is_bounded checks that bound.
+The scan below sees only functools caches.  Two kinds of store on a
+RepSpace are plain dicts, each with its own bound and test in
+tests/test_rep.py:
+
+* the action-table stores, one per arrow, bounded by
+  rep.MAX_TABLE_ENTRIES (test_action_table_store_is_bounded);
+* the image-set stores, one per node of a record tree of
+  enumerate_subreps, bounded by rep.MAX_IMAGE_SETS
+  (test_image_set_store_is_bounded).
 """
 
 import importlib

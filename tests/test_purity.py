@@ -53,6 +53,13 @@ def test_count_samples_validation():
     assert s.points() == [(2, 3), (8, 9)]
 
 
+def test_count_samples_accept_a_zero_count():
+    # 0 is a count: the point count of an empty moduli space
+    assert CountSamples(2, ((1, 0), (2, 5))).samples == ((1, 0), (2, 5))
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        CountSamples(2, ((1, -1),))
+
+
 def test_strong_multiplicative_group():
     # |GF(q^n)*| = q^n - 1
     samples = CountSamples(2, tuple((n, 2**n - 1) for n in range(1, 5)))

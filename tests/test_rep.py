@@ -10,7 +10,9 @@ from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
                          kronecker, pullback, quotient_rep, sub_rep)
 from quivercount.linalg import (decode_vector, encode_vector, mat_vec,
                                 reduce_mod, rref)
-from quivercount.rep import MAX_TABLE_ENTRIES, _catalog, subspace_count
+from quivercount.rep import (MAX_IMAGE_SETS, MAX_TABLE_ENTRIES, _catalog,
+                             check_tuple_budget, subspace_catalog,
+                             subspace_count)
 
 from conftest import a2_quiver
 
@@ -239,6 +241,24 @@ def test_subrep_budget(f2):
         list(enumerate_subreps(space.rep(0), max_tuples=10))
 
 
+def test_tuple_budget_at_its_edge(f2):
+    # 5 subspaces of GF(2)^2 per vertex: 25 candidate tuples; the lower
+    # bound, 2^1, fits both budgets, so the exact count is compared
+    dims, candidates = (2, 2), subspace_count(2, 2)**2
+    assert candidates == 25
+    M = RepSpace(kronecker(2), dims, f2).rep(0)
+    check_tuple_budget(dims, 2, candidates)
+    assert len(list(enumerate_subreps(M, max_tuples=candidates))) > 0
+    # a pass is kept per (dims, q, max_tuples): after the larger budget
+    # passed on these dims, the smaller one still raises, on every call
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="exceed the budget 24") as hit:
+            enumerate_subreps(M, max_tuples=candidates - 1)
+        assert hit.value.exit_code == 3
+        with pytest.raises(BudgetExceeded):
+            check_tuple_budget(dims, 2, candidates - 1)
+
+
 # ---------------------------------------------------------------------------
 # quotients and graded pieces
 
@@ -416,6 +436,31 @@ def test_action_table_store_is_bounded():
             for c in range(16))
     # the store was cleared, and the tables read after a clear, of points
     # 0 and 1 again among them, are still the arrow's maps
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_image_set_store_is_bounded(f4):
+    # K2 (1, 3) over GF(4): at vertex 1 the image set of vertex 0's line
+    # is the pair of the two arrows' columns, 2,080 sets, twice the cap
+    space = RepSpace(kronecker(2), (1, 3), f4)
+    list(enumerate_subreps(space.rep(0)))  # builds the record tree
+    _, _, trees = space._subrep_plan
+    ((_, children, _),) = trees.values()
+    store = children[1][2]
+    catalogs = [subspace_catalog(f4, n) for n in space.dims]
+    sizes = []
+    for index in (*range(space.point_count), 0, 1):
+        M = space.rep(index)
+        subreps = list(enumerate_subreps(M))
+        assert len(store) <= MAX_IMAGE_SETS
+        sizes.append(len(store))
+        if index < 2:
+            assert subreps == [
+                S for S in map(SubspaceTuple, product(*catalogs))
+                if is_subrep(M, S)]
+    # the store was cleared, and the enumerations after a clear, of
+    # points 0 and 1 again among them, are still the definitional ones
+    assert max(sizes) == MAX_IMAGE_SETS
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 

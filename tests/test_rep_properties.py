@@ -1,8 +1,9 @@
 """Property tests of the subspace and subrepresentation layer, the
 enumeration restricted to admissible dimension vectors and the lift of
 a tuple from quotient coordinates included, of the scan, its rows of
-preserving points included, of the action tables a space holds, and of
-the direct route's counts, against the definitions.
+preserving points included, of the action tables and image sets a space
+holds, and of the direct route's counts and quotient keys, against the
+definitions.
 
 Random small quivers (loops, parallel arrows and 2-cycles all occur),
 dimension vectors of total dimension at most 4, catalog records of
@@ -27,8 +28,10 @@ from quivercount import (SEMISTABLE, SEMISTABLE_NOT_STABLE, STABLE, UNSTABLE,
                          sub_rep)
 from quivercount.linalg import decode_vector, encode_vector, mat_vec, rref
 from quivercount.rep import (DEFAULT_MAX_TUPLES, _image_in_sub_coords,
-                             subspace_catalog)
+                             quotient_key, subspace_catalog)
 from quivercount.stability import hn_chain
+
+from conftest import brute_force_filtrations
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -54,15 +57,16 @@ def points(draw):
 
 
 def definitional_subreps(M):
-    """Every subspace tuple of M's space that is_subrep accepts."""
+    """Every subspace tuple of M's space that is_subrep accepts, in
+    catalog product order (the last vertex varies fastest)."""
     space = M.space
     per_vertex = [
         [basis for k in range(n + 1)
          for basis in enumerate_subspaces(n, k, space.field)]
         for n in space.dims]
-    return {S for S in (SubspaceTuple.of(space.field, space.dims, bases)
+    return [S for S in (SubspaceTuple.of(space.field, space.dims, bases)
                         for bases in product(*per_vertex))
-            if is_subrep(M, S)}
+            if is_subrep(M, S)]
 
 
 def _point(arrows, dims, q, index, theta):
@@ -78,10 +82,8 @@ def _point(arrows, dims, q, index, theta):
 @example(_point(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0)))     # a 2-cycle
 def test_enumeration_is_the_definitional_filter(point):
     M, theta = point
-    found = list(enumerate_subreps(M))
-    assert len(found) == len(set(found))
     subreps = definitional_subreps(M)
-    assert set(found) == subreps
+    assert list(enumerate_subreps(M)) == subreps
 
     # the maximal destabilizing subrepresentation, picked by definition
     dims = M.space.dims
@@ -153,14 +155,18 @@ def test_held_tables_are_the_definitional_ones(point, other, choice):
     assert_definitional_tables(quotient_rep(M, subreps[choice % len(subreps)]))
 
 
+def vector_sets(dims):
+    """Random sets of dimension vectors, some of them above dims or
+    nonzero at a vertex of dimension 0."""
+    vectors = list(product(*(range(d + 2) for d in dims)))
+    return st.sets(st.sampled_from(vectors)).map(frozenset)
+
+
 @st.composite
 def admissible_sets(draw):
-    """A point as points() draws it and a random set of dimension vectors,
-    some of them above its dimension vector or nonzero at a vertex of
-    dimension 0."""
+    """A point as points() draws it and a random set of dimension vectors."""
     M, _ = draw(points())
-    vectors = list(product(*(range(d + 2) for d in M.space.dims)))
-    return M, frozenset(draw(st.sets(st.sampled_from(vectors))))
+    return M, draw(vector_sets(M.space.dims))
 
 
 @DETERMINISTIC
@@ -177,6 +183,45 @@ def test_filtered_enumeration_is_the_restricted_filter(case):
     # the unfiltered order, and the same again from the kept record tree
     assert found == [S for S in enumerate_subreps(M) if S.dims in admissible]
     assert list(enumerate_subreps(M, admissible=set(admissible))) == found
+
+
+@st.composite
+def warm_cases(draw):
+    """A point and character as points() draws them, a random set of
+    dimension vectors, and up to three other points of the space."""
+    M, theta = draw(points())
+    others = st.integers(0, M.space.point_count - 1)
+    return (M, theta, draw(vector_sets(M.space.dims)),
+            draw(st.lists(others, max_size=3)))
+
+
+def _warm(arrows, dims, q, index, theta, admissible, others):
+    return (*_point(arrows, dims, q, index, theta), frozenset(admissible),
+            others)
+
+
+@DETERMINISTIC
+@given(warm_cases())
+@example(_warm(((0, 1), (1, 0)), (2, 2), 2, 123, (1, 0),         # a 2-cycle
+               {(0, 0), (1, 1), (2, 1), (2, 2)}, [7, 200]))
+@example(_warm(((1, 1), (0, 1)), (1, 2), 3, 5, (1, 0),           # a loop
+               {(0, 1), (1, 1), (1, 2)}, [0, 700]))
+def test_warm_stores_change_no_result(case):
+    M, theta, admissible, others = case
+    space = M.space
+    # the same point twice, then other points of its space: each
+    # enumeration reads the image sets that the ones before it stored
+    for N in (M, M, *map(space.rep, others)):
+        assert list(enumerate_subreps(N, admissible=admissible)) == [
+            S for S in definitional_subreps(N) if S.dims in admissible]
+    # the direct route's memo key names the quotient point
+    for T in enumerate_subreps(M):
+        Q = quotient_rep(M, T)
+        assert quotient_key(M, T) == (Q.dims, Q.index)
+    # and the filtration procedure on the warm stores is the one
+    # filtration the brute-force search finds
+    filtration, _ = hn_filtration(M, theta)
+    assert brute_force_filtrations(M, theta) == [tuple(filtration.steps[1:])]
 
 
 @DETERMINISTIC
