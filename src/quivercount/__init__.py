@@ -3,7 +3,7 @@ finite fields: slope stability, Harder-Narasimhan filtrations and
 strata, stratum counting polynomials and purity-signature fitting."""
 
 from .counting import (StratumFormula, coprime_witness, first_piece_factor,
-                       is_coprime, moduli_count_poly, rep_count_poly,
+                       moduli_count_poly, rep_count_poly,
                        semistable_count_poly, semistable_count_polys,
                        stratum_count_poly, stratum_formula, torsor_orbit_count)
 from .errors import (BudgetExceeded, CoprimalityError, ProblemParseError,

@@ -159,22 +159,17 @@ def semistable_count_poly(quiver, dims, theta):
 
 
 def coprime_witness(dims, theta):
-    """A nonzero proper subvector sharing the slope of dims, or None."""
+    """A nonzero proper subvector sharing the slope of dims, or None.
+
+    None means dims is coprime: every semistable point is stable, which
+    is the hypothesis under which the moduli count below is valid.
+    """
     dims = tuple(dims)
     mu = slope(theta, dims)
     for e in nonzero_subvectors(dims):
         if e != dims and slope(theta, e) == mu:
             return e
     return None
-
-
-def is_coprime(dims, theta):
-    """Whether no nonzero proper subvector of dims has the same slope.
-
-    When this holds, every semistable point is stable, which is the
-    hypothesis under which the moduli count below is valid.
-    """
-    return coprime_witness(dims, theta) is None
 
 
 def _require_coprime(dims, theta):

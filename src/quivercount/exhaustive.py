@@ -27,11 +27,13 @@ Two independent routes compute the stratum table:
   pair u * W + w, W the quotient space's point count, so entries add up
   to pair indices.  A table is built in codes: a preserving matrix is
   the images of the source basis times the source's coordinate map, one
-  action-table lookup per row.  Points come in rows: a row fixes every
-  arrow but arrow 0, whose stride is 1, and its points are its offsets
-  plus each entry of arrow 0's list, a loop the scan runs inline.  A
-  point's type id, a bytearray entry (an array("h") one from the table's
-  257th type on), is 0 while it is free.  A type's first piece fixes its
+  action-table lookup per row, row i of every matrix at once from column
+  sums.  Points come in rows: a row fixes every arrow but arrow 0, whose
+  stride is 1, and its points are its offsets plus each entry of arrow
+  0's list, a loop the scan runs inline through memoryviews that start
+  at the row's offsets, so a point costs no index addition.  A point's
+  type id, a bytearray entry (an array("h") one from the table's 257th
+  type on), is 0 while it is free.  A type's first piece fixes its
   group, so the ids a group interns exceed every earlier group's, and an
   id at least the group's first id is a second hit inside the claiming
   group, which breaks uniqueness.  On the first hit one lookup in a pair
@@ -53,10 +55,11 @@ from array import array
 from collections import Counter
 from functools import partial
 from itertools import product
+from operator import add
 
 from . import stability
 from .errors import BudgetExceeded, TheoremViolation
-from .linalg import action_table, decode_vector, encode_columns
+from .linalg import action_table, decode_vector
 from .quiver import check_theta, nonzero_subvectors, slope, total_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   catalog_dim, check_rep_budget, check_tuple_budget)
@@ -83,7 +86,9 @@ class BlockTable:
     target by a restriction coordinate, then its free unit vectors, each
     sent anywhere), and row j of C is the coordinate vector of e_j in
     that basis, read from the source's coords table.  So row i of A is
-    the action table of C at row i of M.
+    the action table of C at row i of M.  The columns of M sit at
+    disjoint digits, so row i of M for every choice of columns, in
+    product order, is a sum of one digit per column, exact for every q.
     """
 
     __slots__ = ("by_sub", "quots")
@@ -98,20 +103,29 @@ class BlockTable:
             decode_vector(y + z * q**ks, n, q)
             for y, z in (src.coords[q**j] for j in range(n))], n)
         zs = [z for _, z in tgt.coords]
-        # per choice of free images: the free columns of M, and W
-        frees = list(product(range(q**nt), repeat=n - ks))
-        free = [encode_columns((0,) * ks + f, nt, q) for f in frees]
-        self.quots = array("q", [encode_columns([zs[c] for c in f], nt - kt, q)
-                                 for f in frees])
-        row_weights = [q**(i * n) for i in range(nt)]
-        width = q**n
-        self.by_sub = {}
-        for u in product(range(q**kt), repeat=ks):
-            # the row columns of M, at digits disjoint from the free ones
-            m_u = encode_columns([span[y] for y in u] + [0] * (n - ks), nt, q)
-            self.by_sub[encode_columns(u, kt, q)] = array("q", [
-                sum(times_c[(m_u + m_f) // r % width] * r for r in row_weights)
-                for m_f in free])
+        keys = list(column_codes([range(q**kt)] * ks, kt, q))
+        self.quots = array("q", column_codes([zs] * (n - ks), nt - kt, q))
+        width = len(self.quots)
+        # the columns of M: the restriction images, then the free images
+        columns = [span] * ks + [range(q**nt)] * (n - ks)
+        codes = [0] * (len(keys) * width)
+        for i in range(nt):
+            weighted = [c * q**(i * n) for c in times_c]
+            row = column_codes([[c // q**i % q for c in col] for col in columns],
+                               1, q)
+            codes = list(map(add, codes, map(weighted.__getitem__, row)))
+        self.by_sub = {key: array("q", codes[j * width:(j + 1) * width])
+                       for j, key in enumerate(keys)}
+
+
+def column_codes(columns, rows, q):
+    """encode_columns(cols, rows, q) for every cols in product(*columns),
+    in product order.  The columns sit at disjoint digits, so a code is
+    the integer sum of one contribution per column."""
+    n = len(columns)
+    return map(sum, product(*(
+        [sum(c // q**i % q * q**(i * n + j) for i in range(rows)) for c in col]
+        for j, col in enumerate(columns))))
 
 
 def pair_table(sub_ids, ids, marks):
@@ -240,30 +254,32 @@ class ScanClassifier:
                 else:  # array("H", a bytearray) would read byte pairs
                     ids = array("H", iter(ids))
                     marks = array("H", [bad]) * len(ids)
-                pairs = pair_table(sub_ids, ids, marks)
+                pairs = memoryview(pair_table(sub_ids, ids, marks))
                 lift = [None] * (bad + 1)
+                view = memoryview(type_ids)
                 for i0, x0, last in self.rows(dims, e):
+                    # the row's points and pairs, read at offsets i and x
+                    here, there = view[i0:], pairs[x0:]
                     for i, x in last:
-                        idx = i0 + i
-                        claimed = type_ids[idx]
+                        claimed = here[i]
                         if claimed:
                             if claimed >= first:
                                 raise TheoremViolation(
                                     "non-unique maximal destabilizing "
-                                    f"subrepresentation at index {idx} of {dims}")
+                                    f"subrepresentation at index {i0 + i} of {dims}")
                             continue
-                        tid = lift[pairs[x0 + x]]
+                        qt = there[x]
+                        tid = lift[qt]
                         if tid is None:
-                            qt = pairs[x0 + x]
                             if qt == bad:
                                 raise TheoremViolation(
                                     "extracted maximal destabilizing piece is not "
-                                    f"semistable at index {idx} of {dims}")
+                                    f"semistable at index {i0 + i} of {dims}")
                             pieces = (e,) + quot.types[qt].pieces
                             if key[0] <= slope(theta, pieces[1]):
                                 raise TheoremViolation(
                                     "HN slopes do not strictly decrease: "
-                                    f"{list(pieces)} at index {idx} of {dims}")
+                                    f"{list(pieces)} at index {i0 + i} of {dims}")
                             # new (e, qt): other pairs give other pieces
                             tid = len(types)
                             if tid > MAX_TYPE_ID:
@@ -271,12 +287,15 @@ class ScanClassifier:
                                     f"more than {MAX_TYPE_ID + 1} types "
                                     f"in the space of {dims}")
                             if tid == BYTE_IDS:
-                                # array("h", a bytearray) reads byte pairs
+                                # array("h", a bytearray) reads byte pairs;
+                                # the views move to the new array at once
                                 type_ids = array("h", iter(type_ids))
+                                view = memoryview(type_ids)
+                                here = view[i0:]
                             types.append(HNType(theta, pieces))
                             counts.append(0)
                             lift[qt] = tid
-                        type_ids[idx] = tid
+                        here[i] = tid
                         counts[tid] += 1
 
         counts[0] = N - sum(counts)
@@ -347,8 +366,8 @@ def classify_direct(quiver, dims, theta, field, workers=1,
 
 class FiltrationCounter:
     """For every point, the number of filtrations with semistable
-    subquotients and strictly decreasing slopes, in an array("q"), which
-    raises OverflowError rather than wrap a count.
+    subquotients and strictly decreasing slopes, in an array("q"), written
+    through a memoryview, which raises ValueError rather than wrap a count.
 
     Organized like the scan classifier: a filtration is a first step (a
     subspace tuple) plus a filtration of the quotient with slopes below
@@ -382,6 +401,7 @@ class FiltrationCounter:
         else:
             out = array("q", [0]) * RepSpace(
                 cls.quiver, dims, cls.field).point_count
+        view = memoryview(out)
         for e in nonzero_subvectors(dims):
             if e == dims:
                 continue
@@ -392,11 +412,12 @@ class FiltrationCounter:
             child = self.counts(quot_dims, mu_e)
             if not any(child):
                 continue
-            pairs = pair_table(cls.table(e).type_ids, child,
-                               array("q", [0]) * len(child))
+            pairs = memoryview(pair_table(cls.table(e).type_ids, child,
+                                          array("q", [0]) * len(child)))
             for i0, x0, last in cls.rows(dims, e):
+                here, there = view[i0:], pairs[x0:]
                 for i, x in last:
-                    out[i0 + i] += pairs[x0 + x]
+                    here[i] += there[x]
         self.memo[key] = out
         return out
 

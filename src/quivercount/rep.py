@@ -62,6 +62,7 @@ DEFAULT_MAX_REPS = 2**24
 DEFAULT_MAX_TUPLES = 2**20
 MAX_TABLE_ENTRIES = 2**14  # action-table entries per arrow's store on a space
 MAX_IMAGE_SETS = 2**10  # image sets per record-tree node's store
+MAX_RECORD_TREES = 2**6  # record trees, one per admissible set, on a space
 
 # readers of catalog records, for building subspace tuples from them
 _ROWS = attrgetter("rows")
@@ -123,7 +124,8 @@ class RepSpace:
         enumerate_subreps fixes (those of nonzero dimension, or vertex 0
         alone), each with the (source, arrow) pairs into it from earlier
         vertices and the (target, arrow) pairs out of it into earlier
-        vertices or itself, and the kept record trees."""
+        vertices or itself, and the kept record trees, cleared before
+        they would number more than MAX_RECORD_TREES."""
         into = [[] for _ in self.dims]
         back = [[] for _ in self.dims]
         for k, (s, t) in enumerate(self.quiver.arrows):
@@ -515,8 +517,11 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
     zeros, levels, trees = space._subrep_plan
     key = frozenset(product(*(range(n + 1) for n in dims))
                     if admissible is None else admissible)
-    if key not in trees:
-        trees[key] = _record_tree(space, key)
+    tree = trees.get(key)
+    if tree is None:
+        if len(trees) >= MAX_RECORD_TREES:
+            trees.clear()
+        tree = trees[key] = _record_tree(space, key)
     acts = M.actions
     chosen = list(zeros)
     last = len(levels) - 1
@@ -542,7 +547,7 @@ def enumerate_subreps(M, max_tuples=DEFAULT_MAX_TUPLES, admissible=None):
             else:
                 yield from extend(j + 1, children[rec.k])
 
-    return extend(0, trees[key])
+    return extend(0, tree)
 
 
 # ---------------------------------------------------------------------------

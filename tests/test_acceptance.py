@@ -168,10 +168,10 @@ def test_criterion_06_torsor_divisibility():
     order of the acting group modulo its central torus (the divisibility
     is asserted inside torsor_orbit_count)."""
     budget = Budget(10.0, "criterion 6: torsor divisibility on coprime instances")
-    from quivercount import is_coprime
+    from quivercount import coprime_witness
 
     for name, quiver, dims, qs in INSTANCES:
-        if not is_coprime(dims, THETA):
+        if coprime_witness(dims, THETA) is not None:
             continue
         for q in qs:
             if q > 5:

@@ -1,7 +1,7 @@
 """Every functools cache in the package has a bound, so a long run of
 many problems cannot grow one without limit.
 
-The scan below sees only functools caches.  Two kinds of store on a
+The scan below sees only functools caches.  Three kinds of store on a
 RepSpace are plain dicts, each with its own bound and test in
 tests/test_rep.py:
 
@@ -9,7 +9,9 @@ tests/test_rep.py:
   rep.MAX_TABLE_ENTRIES (test_action_table_store_is_bounded);
 * the image-set stores, one per node of a record tree of
   enumerate_subreps, bounded by rep.MAX_IMAGE_SETS
-  (test_image_set_store_is_bounded).
+  (test_image_set_store_is_bounded);
+* the record trees of enumerate_subreps, one per admissible set,
+  bounded by rep.MAX_RECORD_TREES (test_record_trees_are_bounded).
 """
 
 import importlib

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from quivercount import ProblemParseError, counting, rep, rep_count_poly
-from quivercount.cli import (main, parse_problem, parse_representation,
-                             parse_samples)
+from quivercount.cli import (MAX_PRINTED_DEGREE, main, parse_problem,
+                             parse_representation, parse_samples)
+from quivercount.ffield import PRIME_POWER_LIMIT
 from quivercount.rep import RepSpace
 from quivercount import field_table, kronecker
 
@@ -579,6 +580,41 @@ def test_large_field_sizes_fail_at_once(tmp_path, q, command, code,
     done = _run_cli(argv, timeout=5)
     assert done.returncode == code, done.stderr
     assert expected in done.stderr
+
+
+# one arrow 0 -> 1 of 1024 x 1024 entries, and a loop at a third vertex
+# of dimension 0 or 1, so the degree is 2^20 or one more
+DEGREE_EDGE = ("vertices 3\narrow 0 1\narrow 2 2\ndim 1024 1024 {extra}\n"
+               "theta 1 0 0\n")
+
+
+def test_count_reps_at_the_printed_degree_budget(tmp_path, capsys):
+    problem = tmp_path / "edge.problem"
+    problem.write_text(DEGREE_EDGE.format(extra=0), encoding="utf-8")
+    assert main(["count-reps", str(problem)]) == 0
+    poly, coeffs = capsys.readouterr().out.splitlines()
+    assert MAX_PRINTED_DEGREE == 2**20
+    assert poly == f"rep-count-poly: q^{MAX_PRINTED_DEGREE}"
+    assert coeffs == "coeffs:" + " 0" * MAX_PRINTED_DEGREE + " 1"
+    problem.write_text(DEGREE_EDGE.format(extra=1), encoding="utf-8")
+    assert main(["count-reps", str(problem)]) == 3
+    assert (f"q^{MAX_PRINTED_DEGREE + 1} exceeds the printed degree budget "
+            f"{MAX_PRINTED_DEGREE}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset,code,expected", [
+    (-1, 2, f"line 6: not a prime power: {PRIME_POWER_LIMIT - 1}"),
+    (0, 1, f"q={PRIME_POWER_LIMIT} exceeds the configured maximum 16"),
+    (1, 1, f"q={PRIME_POWER_LIMIT + 1} exceeds the configured maximum 16"),
+], ids=["below", "at", "past"])
+def test_q_line_at_the_factoring_limit(tmp_path, capsys, offset, code,
+                                       expected):
+    # from PRIME_POWER_LIMIT on the parser leaves q to the field cap
+    problem = tmp_path / "k2.problem"
+    problem.write_text(K2_WITH_Q.format(q=PRIME_POWER_LIMIT + offset),
+                       encoding="utf-8")
+    assert main(["verify", str(problem)]) == code
+    assert expected in capsys.readouterr().err
 
 
 def test_type_ids_past_the_array_cap_exit_3(k2_22_file, monkeypatch,

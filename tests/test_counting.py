@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from quivercount import (CoprimalityError, CountPolynomial, HNType, Quiver,
-                         TheoremViolation, classify_scan,
-                         coprime_witness, enumerate_hn_types, enumerate_reps,
-                         field_table, first_piece_factor, gl_order,
-                         group_order_poly, is_coprime, kronecker,
+from quivercount import (BudgetExceeded, CoprimalityError, CountPolynomial,
+                         HNType, Quiver, TheoremViolation, classify_scan,
+                         coprime_witness, counting, enumerate_hn_types,
+                         enumerate_reps, field_table, first_piece_factor,
+                         gl_order, group_order_poly, kronecker,
                          moduli_count_poly, nonzero_subvectors, rep_count_poly,
                          rep_space_dim, semistable_count_poly,
                          semistable_count_polys, slope, stratum_count_poly,
@@ -225,10 +225,9 @@ def test_loop_quiver_closed_forms():
 
 
 def test_is_coprime_examples():
-    assert is_coprime((1, 1), THETA)
-    assert not is_coprime((2, 2), THETA)
+    assert coprime_witness((1, 1), THETA) is None
     assert coprime_witness((2, 2), THETA) == (1, 1)
-    assert is_coprime((2, 3), THETA)
+    assert coprime_witness((2, 3), THETA) is None
     # 11 nonzero candidate vectors e <= (2,3); only e = d itself shares the slope
     candidates = list(nonzero_subvectors((2, 3)))
     assert len(candidates) == 11
@@ -326,3 +325,19 @@ def test_torsor_count_rejects_another_problems_table(problem):
     table = classify_scan(kronecker(2), (1, 1), THETA, field_table(2))
     with pytest.raises(ValueError, match="belongs to another problem"):
         torsor_orbit_count(quiver, dims, theta, field_table(q), table=table)
+
+
+def test_recursion_budget_at_its_edge(monkeypatch):
+    # no product of the pair counts (d + 1)(d + 2)/2 equals 2^16, so the
+    # bound moves onto the 6 * 10 = 60 pairs (m, e) of (2, 3)
+    expected = semistable_count_poly(kronecker(2), (2, 3), THETA)
+    monkeypatch.setattr(counting, "MAX_SEMISTABLE_PAIRS", 60)
+    assert semistable_count_poly(kronecker(2), (2, 3), THETA) == expected
+    assert moduli_count_poly(kronecker(2), (2, 3), THETA)
+    monkeypatch.setattr(counting, "MAX_SEMISTABLE_PAIRS", 59)
+    message = ("60 pairs of subvectors exceed the semistable recursion "
+               "budget 59")
+    with pytest.raises(BudgetExceeded, match=message):
+        semistable_count_poly(kronecker(2), (2, 3), THETA)
+    with pytest.raises(BudgetExceeded, match=message):
+        moduli_count_poly(kronecker(2), (2, 3), THETA)

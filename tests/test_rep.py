@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,8 @@ from quivercount import (BudgetExceeded, Filtration, Quiver, RepSpace,
                          kronecker, pullback, quotient_rep, sub_rep)
 from quivercount.linalg import (decode_vector, encode_vector, mat_vec,
                                 reduce_mod, rref)
-from quivercount.rep import (MAX_IMAGE_SETS, MAX_TABLE_ENTRIES, _catalog,
+from quivercount.rep import (MAX_IMAGE_SETS, MAX_RECORD_TREES,
+                             MAX_TABLE_ENTRIES, _catalog,
                              check_tuple_budget, subspace_catalog,
                              subspace_count)
 
@@ -462,6 +463,31 @@ def test_image_set_store_is_bounded(f4):
     # points 0 and 1 again among them, are still the definitional ones
     assert max(sizes) == MAX_IMAGE_SETS
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_record_trees_are_bounded(f2):
+    # K2 (2, 3) has 12 subvectors, so 12 + 66 + 220 = 298 distinct sets
+    # of one to three of them, over four times the cap
+    space = RepSpace(kronecker(2), (2, 3), f2)
+    M = space.rep(1234)
+    _, _, trees = space._subrep_plan
+    catalogs = [subspace_catalog(f2, n) for n in space.dims]
+    everything = [S for S in map(SubspaceTuple, product(*catalogs))
+                  if is_subrep(M, S)]
+    vectors = list(product(range(3), range(4)))
+    sets = [frozenset(c) for k in (1, 2, 3) for c in combinations(vectors, k)]
+    assert len(sets) == 298
+    sizes = []
+    for admissible in sets:
+        subreps = list(enumerate_subreps(M, admissible=admissible))
+        assert len(trees) <= MAX_RECORD_TREES
+        sizes.append(len(trees))
+        assert subreps == [S for S in everything if S.dims in admissible]
+    assert max(sizes) == MAX_RECORD_TREES
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    # after the clears, the unrestricted enumeration is still the
+    # definitional filter
+    assert list(enumerate_subreps(M)) == everything
 
 
 def test_enumerated_tuples_equal_their_checked_copies(f3):

@@ -18,7 +18,7 @@ from quivercount.exhaustive import (FiltrationCounter, ScanClassifier,
                                     SpaceTable, pair_table)
 from quivercount.linalg import mat_vec, reduce_mod, rref
 from quivercount.rep import subspace_catalog
-from quivercount.strata import check_type_budget
+from quivercount.strata import DEFAULT_MAX_TYPE_DIM, check_type_budget
 
 from conftest import a2_quiver
 
@@ -592,3 +592,11 @@ def test_randomized_small_instances_cross_check():
 def test_types_and_scans_reject_bad_input(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_type_budget_at_its_edge():
+    check_type_budget((32, 32))  # total dimension exactly the budget
+    assert 32 + 32 == DEFAULT_MAX_TYPE_DIM == 64
+    with pytest.raises(BudgetExceeded,
+                       match="total dimension 65 exceeds the type budget 64"):
+        check_type_budget((32, 33))
