@@ -32,7 +32,7 @@ from .exhaustive import classify_scan
 from .polynomial import CountPolynomial, InexactDivisionError
 from .quiver import (check_theta, check_vector, gl_order_poly,
                      group_order_poly, nonzero_subvectors, pg_order,
-                     rep_space_dim, slope)
+                     rep_space_dim, slope_sets)
 from .rep import DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES
 from .strata import check_type_budget
 
@@ -121,16 +121,18 @@ def semistable_count_polys(quiver, dims, theta):
     """
     dims = check_vector(quiver, dims, "dimension vector")
     theta = check_theta(quiver, theta)
+    check_recursion_budget(dims)
+    ranks = slope_sets(theta, dims)[0]  # every m and e is a subvector of dims
     tables = {}
 
     def table(m):
-        """The slopes above mu(m) of the subvectors of m, ascending, and
-        L(m, b) indexed by how many of them lie below b > mu(m): from
-        ss(m) at index 0 to all of R(m) at the end."""
+        """The slope ranks above that of m of the subvectors of m,
+        ascending, and L(m, b) indexed by how many of them lie below
+        b > mu(m): from ss(m) at index 0 to all of R(m) at the end."""
         if m not in tables:
-            mu = slope(theta, m)
-            upper = sorted((mu_e, e) for e in nonzero_subvectors(m)
-                           if (mu_e := slope(theta, e)) > mu)
+            mu = ranks[m]
+            upper = sorted((ranks[e], e) for e in nonzero_subvectors(m)
+                           if ranks[e] > mu)
             counts = [rep_count_poly(quiver, m)]
             for mu_e, e in reversed(upper):
                 rest = tuple(a - b for a, b in zip(m, e))
@@ -148,7 +150,6 @@ def semistable_count_polys(quiver, dims, theta):
             tables[m] = [mu_e for mu_e, _ in upper], counts[::-1]
         return tables[m]
 
-    check_recursion_budget(dims)
     table(dims)
     return {m: counts[0] for m, (_, counts) in tables.items()}
 
@@ -165,11 +166,8 @@ def coprime_witness(dims, theta):
     is the hypothesis under which the moduli count below is valid.
     """
     dims = tuple(dims)
-    mu = slope(theta, dims)
-    for e in nonzero_subvectors(dims):
-        if e != dims and slope(theta, e) == mu:
-            return e
-    return None
+    ranks, mu, _, _ = slope_sets(tuple(theta), dims)
+    return next((e for e, r in ranks.items() if r == mu and e != dims), None)
 
 
 def _require_coprime(dims, theta):

@@ -60,7 +60,8 @@ from operator import add
 from . import stability
 from .errors import BudgetExceeded, TheoremViolation
 from .linalg import action_table, decode_vector
-from .quiver import check_theta, nonzero_subvectors, slope, total_dim
+from .quiver import (check_theta, nonzero_subvectors, slope, slope_sets,
+                     total_dim)
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
                   catalog_dim, check_rep_budget, check_tuple_budget)
 from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
@@ -155,7 +156,7 @@ class ScanClassifier:
     """Subspace-major classification, memoized over dimension vectors.
 
     Candidate destabilizing tuples are visited in decreasing
-    (slope, total dimension) order; the first group that preserves a
+    (slope rank, total dimension) order; the first group that preserves a
     point names its maximal destabilizing subrepresentation, and the
     quotient is looked up in the table of the smaller space.  Uniqueness
     of the maximizer and semistability of the extracted piece are
@@ -229,18 +230,16 @@ class ScanClassifier:
         N = space.point_count
         check_tuple_budget(dims, field.q, self.max_tuples)
 
-        mu = slope(theta, dims)
+        ranks, mu, _, _ = slope_sets(theta, dims)
         groups = {}
-        for e in nonzero_subvectors(dims):
-            mu_e = slope(theta, e)
-            if mu_e > mu:
-                groups.setdefault((mu_e, total_dim(e)), []).append(e)
-        group_keys = sorted(groups, key=lambda k: (-k[0], -k[1]))
+        for e, r in ranks.items():
+            if r > mu:
+                groups.setdefault((r, total_dim(e)), []).append(e)
 
         types = [trivial_type(theta, dims)]
         counts = [0]
         type_ids = bytearray(N)
-        for key in group_keys:
+        for key in sorted(groups, reverse=True):
             first = len(types)  # this group's types get ids from here on
             for e in groups[key]:
                 quot_dims = tuple(d - x for d, x in zip(dims, e))
@@ -276,7 +275,7 @@ class ScanClassifier:
                                     "extracted maximal destabilizing piece is not "
                                     f"semistable at index {i0 + i} of {dims}")
                             pieces = (e,) + quot.types[qt].pieces
-                            if key[0] <= slope(theta, pieces[1]):
+                            if key[0] <= ranks[pieces[1]]:
                                 raise TheoremViolation(
                                     "HN slopes do not strictly decrease: "
                                     f"{list(pieces)} at index {i0 + i} of {dims}")

@@ -132,7 +132,10 @@ class CountPolynomial:
         return isinstance(other, CountPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int or Fraction (see __eq__), so hashes like it
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __repr__(self):
         return f"CountPolynomial({list(self.coeffs)!r})"

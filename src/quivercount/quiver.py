@@ -1,8 +1,8 @@
 """Quivers, dimension vectors, stability characters and slopes.
 
 Dimension vectors and characters are plain tuples of ints indexed by
-vertex; slopes are exact Fractions so that every comparison made while
-stratifying is exact.
+vertex; slopes are exact Fractions, which every route compares through
+the integer ranks of ``slope_sets``, so every comparison is exact.
 """
 
 from collections import namedtuple
@@ -90,29 +90,22 @@ def slope(theta, dims):
 
 
 @lru_cache(maxsize=1024)
-def slope_ranks(theta, dims):
-    """Rank of the slope of every nonzero subvector of dims, dims itself
-    included, as a dict to be read and not changed.
-
-    Equal slopes share a rank and a larger slope has a larger rank, so
-    ranks compare exactly as the Fractions do.  ``theta`` and ``dims``
-    are tuples.
-    """
-    subs = list(nonzero_subvectors(dims))
-    mus = [slope(theta, e) for e in subs]
-    rank = {mu: r for r, mu in enumerate(sorted(set(mus)))}
-    return {e: rank[mu] for e, mu in zip(subs, mus)}
-
-
-@lru_cache(maxsize=1024)
 def slope_sets(theta, dims):
-    """slope_ranks(theta, dims), the rank mu of dims, and the frozensets
-    of the subvectors of rank above mu and of rank at least mu, dims
-    itself excluded: the dimension vectors that can destabilize a point
-    of dims, and those that can also make it strictly semistable."""
+    """The slope order every route compares slopes by: the rank of the
+    slope of every nonzero subvector of dims, dims included, as a dict in
+    nonzero_subvectors order to be read and not changed; the rank mu of
+    dims; and the frozensets of the subvectors of rank above mu and of
+    rank at least mu, dims itself excluded (the vectors that can
+    destabilize a point of dims, and those that can also make it strictly
+    semistable).  Equal slopes share a rank and a larger slope has a
+    larger rank, so ranks compare as the Fractions do.  ``theta`` and
+    ``dims`` are tuples."""
     if not any(dims):
         raise ValueError("stability is undefined for the zero dimension vector")
-    ranks = slope_ranks(theta, dims)
+    subs = list(nonzero_subvectors(dims))
+    mus = [slope(theta, e) for e in subs]
+    rank = {x: r for r, x in enumerate(sorted(set(mus)))}
+    ranks = {e: rank[x] for e, x in zip(subs, mus)}
     mu = ranks[dims]
     return (ranks, mu, frozenset(e for e, r in ranks.items() if r > mu),
             frozenset(e for e, r in ranks.items() if r >= mu and e != dims))

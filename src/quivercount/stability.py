@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .errors import TheoremViolation
-from .quiver import check_theta, slope_ranks, slope_sets
+from .quiver import check_theta, slope_sets
 from .rep import (DEFAULT_MAX_TUPLES, Filtration, SubspaceTuple, contains,
                   enumerate_subreps, pullback, quotient_key, quotient_rep)
 from .strata import HNType
@@ -115,7 +115,7 @@ def hn_chain(M, theta, max_tuples, memo):
     if tail is None:
         Q = quotient_rep(M, T)
         tail = memo[key] = hn_chain(Q, theta, max_tuples, memo)
-    ranks = slope_ranks(theta, M.space.dims)
+    ranks = slope_sets(theta, M.space.dims)[0]
     if ranks[T.dims] <= ranks[tail[0].dims]:
         raise TheoremViolation("HN slopes do not strictly decrease: "
                                f"{[S.dims for S in (T, *tail)]}")

@@ -12,7 +12,7 @@ from itertools import islice
 
 from .errors import BudgetExceeded
 from .quiver import (check_theta, check_vector, int_vector,
-                     nonzero_subvectors, rep_space_dim, slope, slope_ranks,
+                     nonzero_subvectors, rep_space_dim, slope, slope_sets,
                      total_dim)
 
 DEFAULT_MAX_TYPE_DIM = 64
@@ -90,7 +90,7 @@ def enumerate_hn_types(quiver, dims, theta):
     dims = check_vector(quiver, dims, "dimension vector")
     theta = check_theta(quiver, theta)
     check_type_budget(dims)
-    rank = slope_ranks(theta, dims)  # every piece is a subvector of dims
+    rank = slope_sets(theta, dims)[0]  # every piece is a subvector of dims
     # per remaining vector, its (rank, piece, what is left) triples,
     # built the first time the vector is reached
     splits = {}

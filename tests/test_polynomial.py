@@ -85,3 +85,16 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         p.coeffs = (0,)
     assert hash(Q + 1) == hash(CountPolynomial((1, 1)))
+
+
+@pytest.mark.parametrize("value", [5, -3, 0, Fraction(2, 3), Fraction(8, 4)])
+def test_a_constant_hashes_like_the_number_it_equals(value):
+    p = CountPolynomial((value,))
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1
+    assert {value: "x"}.get(p) == "x" and {p: "x"}.get(value) == "x"
+
+
+def test_the_zero_polynomial_hashes_like_zero():
+    assert CountPolynomial.zero() == 0 and hash(CountPolynomial.zero()) == hash(0)
+    assert {0: "x"}.get(CountPolynomial(())) == "x"

@@ -1,16 +1,21 @@
 from fractions import Fraction
 from itertools import product
+import tempfile
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 import pytest
 
 from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
-                         classify_direct, enumerate_hn_types, field_table,
-                         gl_order, gl_order_poly, group_order_poly,
-                         hn_filtration, is_semistable, is_stable, kronecker,
-                         maximal_destabilizing, moduli_count_poly,
-                         pg_order, rep_space_dim, semistable_count_poly,
-                         semistable_count_polys, slope)
+                         classify_direct, coprime_witness, enumerate_hn_types,
+                         field_table, gl_order, gl_order_poly,
+                         group_order_poly, hn_filtration, is_semistable,
+                         is_stable, kronecker, maximal_destabilizing,
+                         moduli_count_poly, pg_order, rep_space_dim,
+                         semistable_count_poly, semistable_count_polys, slope)
 from quivercount.exhaustive import ScanClassifier
+from quivercount.quiver import nonzero_subvectors, slope_sets
 
 from conftest import a2_quiver
 
@@ -167,3 +172,43 @@ def test_a2_shape():
 def test_group_orders_reject_bad_input(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# Hypothesis caches the constants it reads from source files while tests
+# are collected; keep that cache out of the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+@st.composite
+def characters_and_vectors(draw):
+    """theta in [-5, 5]^n and a nonzero dims in [0, 3]^n, n <= 3."""
+    n = draw(st.integers(1, 3))
+    theta = tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                      .filter(any)))
+    return theta, dims
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(characters_and_vectors())
+def test_slope_sets_order_as_the_fractions_do(problem):
+    theta, dims = problem
+    ranks, mu, above, upper = slope_sets(theta, dims)
+    subs = list(nonzero_subvectors(dims))
+    mus = {e: slope(theta, e) for e in subs}
+    assert list(ranks) == subs
+    for e, f in product(subs, repeat=2):
+        assert (ranks[e] < ranks[f]) == (mus[e] < mus[f])
+    assert mu == ranks[dims]
+    assert above == {e for e in subs if mus[e] > mus[dims]}
+    assert upper == {e for e in subs if e != dims and mus[e] >= mus[dims]}
+    assert coprime_witness(dims, theta) == next(
+        (e for e in subs if e != dims and mus[e] == mus[dims]), None)
+
+
+def test_slope_sets_reject_the_zero_vector():
+    with pytest.raises(ValueError, match="zero dimension vector"):
+        slope_sets((1, 0), (0, 0))
+    with pytest.raises(ValueError, match="zero dimension vector"):
+        coprime_witness((0, 0), (1, 0))
