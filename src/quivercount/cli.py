@@ -36,7 +36,7 @@ from .counting import (coprime_witness, moduli_count_poly,
 from .errors import (BudgetExceeded, ProblemParseError, QuiverCountError,
                      TheoremViolation)
 from .exhaustive import classify_direct, classify_scan
-from .ffield import PRIME_POWER_LIMIT, field_table, prime_power
+from .ffield import MAX_Q, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
@@ -95,8 +95,6 @@ def parse_problem(text):
         elif key == "q":
             values = _ints(args, None, lineno)
             for v in values:
-                if v >= PRIME_POWER_LIMIT:
-                    continue  # over every field cap, left to make_field
                 try:
                     prime_power(v)
                 except ValueError as exc:
@@ -194,13 +192,13 @@ def parse_samples(text):
 
 
 def _prime_powers_upto(limit):
-    out = []  # each field is built as it is listed: the cap stops the loop
+    out = []
     for q in range(2, limit + 1):
         try:
-            prime_power(q)
+            out.append(prime_power(q).q)
         except ValueError:
-            continue
-        out.append(field_table(q).q)
+            if q > MAX_Q:  # the field cap ends the listing at MAX_Q + 1
+                raise
     return out
 
 

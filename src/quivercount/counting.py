@@ -39,9 +39,19 @@ from .strata import check_type_budget
 MAX_SEMISTABLE_PAIRS = 2**16
 
 
+def _check_lengths(quiver, *vectors):
+    """ValueError unless each vector has one entry per vertex: the length
+    part of check_vector alone, cheap enough for the recursion's calls."""
+    for v in vectors:
+        if len(v) != quiver.vertex_count:
+            raise ValueError(f"vector {tuple(v)} has length {len(v)}, "
+                             f"expected {quiver.vertex_count}")
+
+
 def rep_count_poly(quiver, dims):
     """Point count of the whole representation space: the monomial
     q^(sum of d_i * d_j over arrows)."""
+    _check_lengths(quiver, dims)
     return CountPolynomial.monomial(rep_space_dim(quiver, dims))
 
 
@@ -57,6 +67,7 @@ def first_piece_factor(quiver, m, e):
     """F(m, e) = [m; e]_q * q^(sum over arrows i->j of (m-e)_i e_j): the
     subspace tuples of dimension vector e in GF(q)^m times the free arrow
     blocks from the rest into them (see the module docstring)."""
+    _check_lengths(quiver, m, e)
     exponent = sum((m[i] - e[i]) * e[j] for (i, j) in quiver.arrows)
     return prod((gaussian_binomial(n, k) for n, k in zip(m, e) if 0 < k < n),
                 start=CountPolynomial.monomial(exponent))
@@ -81,6 +92,7 @@ def stratum_formula(quiver, beta, ss_counts):
     semistable count polynomials; the pieces after a zero one are not
     read.
     """
+    check_theta(quiver, beta.theta)  # HNType makes each piece as long
     m, factors = beta.ambient, []
     for piece in beta.pieces:
         if piece not in ss_counts:

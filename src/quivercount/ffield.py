@@ -6,14 +6,22 @@ GF(p) in base p (digit k = coefficient of x^k), reduced modulo a fixed
 monic irreducible of degree e.  In both cases index 0 is the additive
 identity and index 1 the multiplicative identity.
 
-The tables are tiny (q <= 16 by default), immutable after construction
-and verified against the full set of field axioms, so downstream code
-can index them freely in inner loops.
+The tables are tiny (q <= MAX_Q = 16, a fixed cap, so there are ten
+fields), immutable after construction and verified against the full set
+of field axioms, so downstream code can index them freely in inner
+loops.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 MAX_Q = 16
+
+# The defining polynomial of GF(p^e), e > 1, coefficients ascending: the
+# monic irreducible of degree e whose non-leading coefficients are least
+# in the base-p encoding.  The element encoding, and so every matrix
+# entry of a representation literal, depends on it.
+_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1)}
 
 
 class PrimePower(namedtuple("PrimePower", "p e q")):
@@ -22,63 +30,21 @@ class PrimePower(namedtuple("PrimePower", "p e q")):
     __slots__ = ()
 
 
-# Miller-Rabin to the first 13 prime bases decides primality exactly
-# below this bound (Sorenson and Webster, Math. Comp. 2017)
-PRIME_POWER_LIMIT = 3317044064679887385961981
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin for 2 <= n < PRIME_POWER_LIMIT."""
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(n, k):
-    """The integer part of the k-th root of n >= 1, by Newton's method
-    from above."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def prime_power(q):
-    """Factor q as p^e, or raise ValueError if q is not a prime power
-    below PRIME_POWER_LIMIT.
-
-    No trial division: q = p^e exactly when the integer e-th root of q
-    is a prime whose e-th power is q.
-    """
+    """Factor q as p^e, by trial division; ValueError if q is not a
+    prime power, or exceeds MAX_Q, which is checked before any
+    arithmetic."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"not a prime power: {q!r}")
-    if q >= PRIME_POWER_LIMIT:
-        raise ValueError(f"q={q} is too large to factor")
-    for e in range(1, q.bit_length()):
-        p = _iroot(q, e)
-        if p < 2:
-            break
-        if p**e == q and _is_prime(p):
-            return PrimePower(p, e, q)
-    raise ValueError(f"not a prime power: {q}")
+    if q > MAX_Q:
+        raise ValueError(f"q={q} exceeds the configured maximum {MAX_Q}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 1
+    while p**e < q:
+        e += 1
+    if p**e != q:
+        raise ValueError(f"not a prime power: {q}")
+    return PrimePower(p, e, q)
 
 
 def _digits(i, p, e):
@@ -103,37 +69,6 @@ def _poly_mul_mod(a, b, modulus, p):
     return tuple(prod) + (0,) * (e - len(prod))
 
 
-def _poly_divides(g, f, p):
-    rem = list(f)
-    dg = len(g) - 1
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = rem[k]
-        if c:
-            for j in range(dg + 1):
-                rem[k - dg + j] = (rem[k - dg + j] - c * g[j]) % p
-    return not any(rem)
-
-
-def _is_irreducible(f, p):
-    """Trial division of the monic polynomial f by all lower-degree monics."""
-    e = len(f) - 1
-    for m in range(1, e // 2 + 1):
-        for enc in range(p**m):
-            g = _digits(enc, p, m) + (1,)
-            if _poly_divides(g, f, p):
-                return False
-    return True
-
-
-def _least_irreducible(p, e):
-    # Least in the base-p integer encoding of the non-leading coefficients.
-    for enc in range(p**e):
-        f = _digits(enc, p, e) + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError(f"no irreducible polynomial of degree {e} over GF({p})")
-
-
 class FieldTable:
     """Addition/multiplication/negation/inversion tables for GF(q).
 
@@ -143,20 +78,17 @@ class FieldTable:
     irreducible for e > 1, else None.
     """
 
-    def __init__(self, pp, add_table, mul_table, modulus):
-        self.q = pp.q
-        self.p = pp.p
-        self.e = pp.e
-        self.prime_power = pp
+    def __init__(self, q, add_table, mul_table, modulus):
+        self.q = q
         self.modulus = modulus
         self.add_table = add_table
         self.mul_table = mul_table
         self.neg_table = tuple(
-            next(b for b in range(pp.q) if add_table[a][b] == 0)
-            for a in range(pp.q))
-        inv = [0] * pp.q
-        for a in range(1, pp.q):
-            inv[a] = next(b for b in range(1, pp.q) if mul_table[a][b] == 1)
+            next(b for b in range(q) if add_table[a][b] == 0)
+            for a in range(q))
+        inv = [0] * q
+        for a in range(1, q):  # 0 where a has none: _verify_axioms fails
+            inv[a] = next((b for b in range(1, q) if mul_table[a][b] == 1), 0)
         self.inv_table = tuple(inv)
 
     def add(self, a, b):
@@ -215,23 +147,15 @@ def _verify_axioms(t):
 
 
 def make_field(q):
-    """Build the lookup tables for GF(q), q = p^e <= MAX_Q.
-
-    Deterministic: for e > 1 the defining polynomial is the monic
-    irreducible of degree e whose non-leading coefficient vector is
-    least in the base-p integer encoding.
-    """
-    size = q.q if isinstance(q, PrimePower) else q
-    if isinstance(size, int) and size > MAX_Q:  # before factoring q
-        raise ValueError(f"q={size} exceeds the configured maximum {MAX_Q}")
-    pp = q if isinstance(q, PrimePower) else prime_power(q)
-    p, e, n = pp.p, pp.e, pp.q
+    """Build the lookup tables for GF(q), q = p^e <= MAX_Q, with the
+    defining polynomial _MODULI[q] for e > 1."""
+    p, e, n = prime_power(q)
     if e == 1:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
         mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
         modulus = None
     else:
-        modulus = _least_irreducible(p, e)
+        modulus = _MODULI[n]
         elems = [_digits(i, p, e) for i in range(n)]
         enc = {v: i for i, v in enumerate(elems)}
         add = tuple(
@@ -242,16 +166,12 @@ def make_field(q):
             tuple(enc[_poly_mul_mod(elems[a], elems[b], modulus, p)]
                   for b in range(n))
             for a in range(n))
-    table = FieldTable(pp, add, mul, modulus)
-    _verify_axioms(table)
+    table = FieldTable(n, add, mul, modulus)
+    _verify_axioms(table)  # a reducible modulus fails here
     return table
 
 
-_CACHE = {}
-
-
+@lru_cache(maxsize=MAX_Q)
 def field_table(q):
     """Cached variant of make_field; tables are immutable and shareable."""
-    if q not in _CACHE:
-        _CACHE[q] = make_field(q)
-    return _CACHE[q]
+    return make_field(q)

@@ -49,8 +49,8 @@ class CountPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls((0,) * degree + (coeff,))
+    def monomial(cls, degree):
+        return cls((0,) * degree + (1,))
 
     @property
     def degree(self):

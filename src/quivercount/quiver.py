@@ -81,8 +81,15 @@ def theta_of(theta, dims):
     return sum(t * d for t, d in zip(theta, dims))
 
 
+def _check_same_length(theta, dims):
+    if len(theta) != len(dims):
+        raise ValueError(f"character {tuple(theta)} and dimension vector "
+                         f"{tuple(dims)} differ in length")
+
+
 def slope(theta, dims):
     """Exact slope theta(d) / dim(d) of a nonzero dimension vector."""
+    _check_same_length(theta, dims)
     dim = total_dim(dims)
     if dim <= 0:
         raise ValueError("slope of the zero dimension vector is undefined")
@@ -99,7 +106,8 @@ def slope_sets(theta, dims):
     destabilize a point of dims, and those that can also make it strictly
     semistable).  Equal slopes share a rank and a larger slope has a
     larger rank, so ranks compare as the Fractions do.  ``theta`` and
-    ``dims`` are tuples."""
+    ``dims`` are tuples of one length, checked on a cache miss."""
+    _check_same_length(theta, dims)
     if not any(dims):
         raise ValueError("stability is undefined for the zero dimension vector")
     subs = list(nonzero_subvectors(dims))

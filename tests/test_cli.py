@@ -9,7 +9,7 @@ import pytest
 from quivercount import ProblemParseError, counting, rep, rep_count_poly
 from quivercount.cli import (MAX_PRINTED_DEGREE, main, parse_problem,
                              parse_representation, parse_samples)
-from quivercount.ffield import PRIME_POWER_LIMIT
+from quivercount.ffield import MAX_Q
 from quivercount.rep import RepSpace
 from quivercount import field_table, kronecker
 
@@ -555,16 +555,17 @@ K2_WITH_Q = "vertices 2\narrow 0 1\narrow 0 1\ndim 1 1\ntheta 1 0\nq {q}\n"
      "q=1000000007 exceeds the configured maximum 16"),
     (2, ["count-reps", "{problem}", "--brute", "1000000007"], 1,
      "q=1000000007 exceeds the configured maximum 16"),
-    (1000000007, ["verify", "{problem}"], 1,
-     "q=1000000007 exceeds the configured maximum 16"),
+    # a q line above the cap is a parse error, prime power or not
+    (1000000007, ["verify", "{problem}"], 2,
+     "line 6: q=1000000007 exceeds the configured maximum 16"),
     (1000000006, ["verify", "{problem}"], 2,
-     "line 6: not a prime power: 1000000006"),
-    (2**61 - 1, ["verify", "{problem}"], 1,
-     f"q={2**61 - 1} exceeds the configured maximum 16"),
+     "line 6: q=1000000006 exceeds the configured maximum 16"),
+    (2**61 - 1, ["verify", "{problem}"], 2,
+     f"line 6: q={2**61 - 1} exceeds the configured maximum 16"),
     (2**61 - 2, ["verify", "{problem}"], 2,
-     f"line 6: not a prime power: {2**61 - 2}"),
-    (10**30 + 1, ["verify", "{problem}"], 1,
-     f"q={10**30 + 1} exceeds the configured maximum 16"),
+     f"line 6: q={2**61 - 2} exceeds the configured maximum 16"),
+    (10**30 + 1, ["verify", "{problem}"], 2,
+     f"line 6: q={10**30 + 1} exceeds the configured maximum 16"),
 ], ids=["stratify", "hn", "count-reps-brute", "verify-q-line",
         "q-line-not-prime-power", "q-line-mersenne-61",
         "q-line-mersenne-61-minus-1", "q-line-past-the-exact-range"])
@@ -603,18 +604,46 @@ def test_count_reps_at_the_printed_degree_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("offset,code,expected", [
-    (-1, 2, f"line 6: not a prime power: {PRIME_POWER_LIMIT - 1}"),
-    (0, 1, f"q={PRIME_POWER_LIMIT} exceeds the configured maximum 16"),
-    (1, 1, f"q={PRIME_POWER_LIMIT + 1} exceeds the configured maximum 16"),
+    (-1, 2, f"line 6: not a prime power: {MAX_Q - 1}"),
+    (0, 0, "verify: all checks passed"),
+    (1, 2, f"line 6: q={MAX_Q + 1} exceeds the configured maximum 16"),
 ], ids=["below", "at", "past"])
 def test_q_line_at_the_factoring_limit(tmp_path, capsys, offset, code,
                                        expected):
-    # from PRIME_POWER_LIMIT on the parser leaves q to the field cap
+    # a q line is factored up to the field cap and refused past it
     problem = tmp_path / "k2.problem"
-    problem.write_text(K2_WITH_Q.format(q=PRIME_POWER_LIMIT + offset),
-                       encoding="utf-8")
+    problem.write_text(K2_WITH_Q.format(q=MAX_Q + offset), encoding="utf-8")
     assert main(["verify", str(problem)]) == code
-    assert expected in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert expected in (out if code == 0 else err)
+
+
+# every subcommand that reads a problem file
+PROBLEM_COMMANDS = [
+    ["stratify", "{problem}", "--q", "2"],
+    ["hn", "{problem}", "--rep", "{rep}", "--q", "2"],
+    ["moduli-poly", "{problem}"],
+    ["count-reps", "{problem}"],
+    ["verify", "{problem}"],
+]
+
+
+@pytest.mark.parametrize("q,code", [(16, 0), (17, 2)], ids=["16", "17"])
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS,
+                         ids=[c[0] for c in PROBLEM_COMMANDS])
+def test_q_line_contract_for_every_subcommand(tmp_path, capsys, command, q,
+                                              code):
+    # a q line within the cap parses for all; past it, it fails on its
+    # line, also where the subcommand would not read it
+    problem = tmp_path / "k2.problem"
+    problem.write_text(K2_WITH_Q.format(q=q), encoding="utf-8")
+    rep = tmp_path / "k2.rep"
+    rep.write_text("0\n0\n", encoding="utf-8")
+    argv = [a.format(problem=problem, rep=rep) for a in command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "line 6: q=17 exceeds the configured maximum 16" in err
 
 
 def test_type_ids_past_the_array_cap_exit_3(k2_22_file, monkeypatch,

@@ -118,6 +118,6 @@ def test_a_non_monic_semistable_count_is_a_theorem_violation(monkeypatch):
     # (1, 0), which nothing destabilizes, is the constant 2
     monkeypatch.setattr(counting, "rep_count_poly",
                         lambda quiver, dims: CountPolynomial.monomial(
-                            rep_space_dim(quiver, dims), 2))
+                            rep_space_dim(quiver, dims)) * 2)
     with pytest.raises(TheoremViolation, match="not monic of degree"):
         semistable_count_polys(kronecker(2), (1, 1), (1, 0))

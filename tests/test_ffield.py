@@ -1,7 +1,7 @@
 import pytest
 
-from quivercount import make_field, prime_power
-from quivercount.ffield import PRIME_POWER_LIMIT, PrimePower
+from quivercount import ffield, make_field, prime_power
+from quivercount.ffield import MAX_Q, PrimePower
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -61,8 +61,20 @@ def test_gf4_cube_roots_of_unity():
 
 
 def test_gf4_modulus_is_least():
-    # x^2 + x + 1 is the only irreducible quadratic over GF(2)
+    # x^2 + x + 1 is the only irreducible quadratic over GF(2); the others
+    # are the least irreducibles in the base-p encoding of the non-leading
+    # coefficients, on which the element encoding of hn literals depends
     assert make_field(4).modulus == (1, 1, 1)
+    assert make_field(8).modulus == (1, 1, 0, 1)  # x^3 + x + 1
+    assert make_field(9).modulus == (1, 0, 1)  # x^2 + 1
+    assert make_field(16).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+
+
+def test_a_reducible_modulus_fails_the_axioms(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): x + 1 has no inverse
+    monkeypatch.setitem(ffield._MODULI, 4, (1, 0, 1))
+    with pytest.raises(AssertionError, match="multiplicative inverse"):
+        make_field(4)
 
 
 def test_deterministic():
@@ -83,14 +95,18 @@ def test_prime_power_factoring():
     assert prime_power(8) == PrimePower(2, 3, 8)
     assert prime_power(9) == PrimePower(3, 2, 9)
     for bad in (0, 1, 6, 10, 12, 15):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a prime power"):
             prime_power(bad)
-    for q in range(2, 5000):
+    for q in range(2, MAX_Q + 1):
         try:
             found = prime_power(q)
         except ValueError:
             found = None
         assert found == _trial_division(q), q
+    for q in range(MAX_Q + 1, 5000):
+        with pytest.raises(ValueError, match=f"q={q} exceeds the configured "
+                                             f"maximum {MAX_Q}"):
+            prime_power(q)
 
 
 @pytest.mark.parametrize("q,expected", [
@@ -104,14 +120,16 @@ def test_prime_power_factoring():
     (3215031751, "not a prime power"),
     (318665857834031151167461, "not a prime power"),
     (2**61 - 2, "not a prime power"),
-    (PRIME_POWER_LIMIT, "too large to factor"),
+    (3317044064679887385961981, "too large to factor"),
 ])
 def test_prime_power_on_large_values(q, expected):
-    if isinstance(expected, str):
-        with pytest.raises(ValueError, match=expected):
-            prime_power(q)
-    else:
-        assert prime_power(q) == expected
+    # ``expected`` is what factoring q would give; above the cap nothing
+    # is factored, so a prime power fails on the cap as a composite does
+    if isinstance(expected, PrimePower):
+        assert expected.p**expected.e == q
+    with pytest.raises(ValueError, match=f"q={q} exceeds the configured "
+                                         f"maximum {MAX_Q}"):
+        prime_power(q)
 
 
 def test_maximum_enforced():

@@ -9,11 +9,12 @@ import pytest
 
 from quivercount import (CountPolynomial, HNType, Quiver, RepSpace,
                          classify_direct, coprime_witness, enumerate_hn_types,
-                         field_table, gl_order, gl_order_poly,
-                         group_order_poly, hn_filtration, is_semistable,
-                         is_stable, kronecker, maximal_destabilizing,
-                         moduli_count_poly, pg_order, rep_space_dim,
-                         semistable_count_poly, semistable_count_polys, slope)
+                         field_table, first_piece_factor, gl_order,
+                         gl_order_poly, group_order_poly, hn_filtration,
+                         is_semistable, is_stable, kronecker,
+                         maximal_destabilizing, moduli_count_poly, pg_order,
+                         rep_count_poly, rep_space_dim, semistable_count_poly,
+                         semistable_count_polys, slope, stratum_count_poly)
 from quivercount.exhaustive import ScanClassifier
 from quivercount.quiver import nonzero_subvectors, slope_sets
 
@@ -34,7 +35,9 @@ def test_quiver_validation():
 
 K2 = kronecker(2)
 NOT_INT, NEGATIVE = "not an int", "entry -1, not an int >= 0"
-LENGTH = "length 3"
+LENGTH, DIFFER = "length 3", "differ in length"
+# a semistable count of one for each piece of a type over three vertices
+ONES = {(1, 0, 0): CountPolynomial.one(), (0, 1, 0): CountPolynomial.one()}
 
 # each entry point with a vector holding a non-int, a dimension vector
 # with a negative entry, or a vector (the character included) whose
@@ -82,6 +85,19 @@ BAD_VECTORS = [
      lambda: ScanClassifier(K2, (1, 0, 5), field_table(2)), LENGTH),
     ("direct-theta-length",
      lambda: classify_direct(K2, (1, 2), (1, 0, 5), field_table(2)), LENGTH),
+    # zip would drop the extra entries of the longer vector
+    ("coprime-witness-theta-short", lambda: coprime_witness((2, 2), (1,)),
+     DIFFER),
+    ("coprime-witness-theta-length",
+     lambda: coprime_witness([2, 2], [1, 0, 5]), DIFFER),
+    ("slope-length", lambda: slope((1,), (2, 2)), DIFFER),
+    ("slope-sets-length", lambda: slope_sets((1,), (2, 2)), DIFFER),
+    ("stratum-count-length",
+     lambda: stratum_count_poly(
+         K2, HNType((1, 0, 0), ((1, 0, 0), (0, 1, 0))), ONES), LENGTH),
+    ("first-piece-length",
+     lambda: first_piece_factor(K2, (1, 1, 5), (1, 0, 2)), LENGTH),
+    ("rep-count-length", lambda: rep_count_poly(K2, (1,)), "length 1"),
 ] + [
     # the per-point functions, at a point whose search would drop the
     # extra entry
