@@ -123,8 +123,9 @@ def test_prime_power_factoring():
     (3317044064679887385961981, "too large to factor"),
 ])
 def test_prime_power_on_large_values(q, expected):
-    # ``expected`` is what factoring q would give; above the cap nothing
-    # is factored, so a prime power fails on the cap as a composite does
+    # ``expected`` says what q is (the last value is the bound of an
+    # earlier factoring method); above the cap nothing is factored, so a
+    # prime power fails on the cap as a composite does
     if isinstance(expected, PrimePower):
         assert expected.p**expected.e == q
     with pytest.raises(ValueError, match=f"q={q} exceeds the configured "
