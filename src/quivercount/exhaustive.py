@@ -52,7 +52,7 @@ oracle for the filtration procedure).
 
 import os
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import partial
 from itertools import product
 from operator import add
@@ -67,7 +67,6 @@ from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
 from .strata import MAX_TYPES, HNType, StratumTable, trivial_type
 
 BYTE_IDS = 256  # the type ids a bytearray holds; the next type widens it
-MAX_TYPE_ID = MAX_TYPES - 1  # the largest id a widened array("h") holds
 
 
 class BlockTable:
@@ -139,17 +138,11 @@ def pair_table(sub_ids, ids, marks):
     return table
 
 
-class SpaceTable:
+class SpaceTable(namedtuple("SpaceTable", "dims types type_ids counts")):
     """Classification of one representation space: the interned types and
     the type of every point by index."""
 
-    __slots__ = ("dims", "types", "type_ids", "counts")
-
-    def __init__(self, dims, types, type_ids, counts):
-        self.dims = dims
-        self.types = types
-        self.type_ids = type_ids
-        self.counts = counts
+    __slots__ = ()
 
 
 class ScanClassifier:
@@ -212,10 +205,7 @@ class ScanClassifier:
                                  for n, k in zip(dims, e))):
             last, *outer = self.triples(dims, records) or [[(0, 0)]]
             for combo in product(*outer):
-                i0 = x0 = 0
-                for i, x in combo:
-                    i0 += i
-                    x0 += x
+                i0, x0 = map(sum, zip((0, 0), *combo))
                 yield i0, x0, last
 
     def table(self, dims):
@@ -225,9 +215,7 @@ class ScanClassifier:
         if total_dim(dims) == 0:
             raise ValueError("cannot classify the zero dimension vector")
         quiver, theta, field = self.quiver, self.theta, self.field
-        space = RepSpace(quiver, dims, field)
-        check_rep_budget(space, self.max_reps)
-        N = space.point_count
+        N = check_rep_budget(RepSpace(quiver, dims, field), self.max_reps)
         check_tuple_budget(dims, field.q, self.max_tuples)
 
         ranks, mu, _, _ = slope_sets(theta, dims)
@@ -246,13 +234,11 @@ class ScanClassifier:
                 sub_ids = self.table(e).type_ids
                 quot = self.table(quot_dims)
                 # the quotient's type id per (restriction, quotient) pair,
-                # or bad where the restriction is not semistable
-                bad, ids = len(quot.types), quot.type_ids
-                if bad < BYTE_IDS:
-                    marks = bytes([bad]) * len(ids)
-                else:  # array("H", a bytearray) would read byte pairs
-                    ids = array("H", iter(ids))
-                    marks = array("H", [bad]) * len(ids)
+                # or bad where the restriction is not semistable; iter():
+                # array("H", a bytearray) would read byte pairs
+                bad = len(quot.types)
+                ids = array("H", iter(quot.type_ids))
+                marks = array("H", [bad]) * len(ids)
                 pairs = memoryview(pair_table(sub_ids, ids, marks))
                 lift = [None] * (bad + 1)
                 view = memoryview(type_ids)
@@ -281,9 +267,9 @@ class ScanClassifier:
                                     f"{list(pieces)} at index {i0 + i} of {dims}")
                             # new (e, qt): other pairs give other pieces
                             tid = len(types)
-                            if tid > MAX_TYPE_ID:
+                            if tid >= MAX_TYPES:
                                 raise BudgetExceeded(
-                                    f"more than {MAX_TYPE_ID + 1} types "
+                                    f"more than {MAX_TYPES} types "
                                     f"in the space of {dims}")
                             if tid == BYTE_IDS:
                                 # array("h", a bytearray) reads byte pairs;
@@ -341,9 +327,7 @@ def classify_direct(quiver, dims, theta, field, workers=1,
     dims = tuple(dims)
     theta = check_theta(quiver, theta)
     workers = min(workers, os.cpu_count() or 1)
-    space = RepSpace(quiver, dims, field)
-    check_rep_budget(space, max_reps)
-    N = space.point_count
+    N = check_rep_budget(RepSpace(quiver, dims, field), max_reps)
     if workers <= 1 or N < POOL_MIN_POINTS:
         merged = _direct_range(quiver, dims, theta, field, 0, N, max_tuples)
     else:
@@ -389,10 +373,9 @@ class FiltrationCounter:
         ``bound`` restricts to filtrations whose first slope is
         strictly below it; None means unrestricted.
         """
-        key = (tuple(dims), bound)
-        if key in self.memo:
-            return self.memo[key]
         dims = tuple(dims)
+        if (dims, bound) in self.memo:
+            return self.memo[dims, bound]
         cls = self.classifier
         theta = cls.theta
         if bound is None or slope(theta, dims) < bound:
@@ -417,7 +400,7 @@ class FiltrationCounter:
                 here, there = view[i0:], pairs[x0:]
                 for i, x in last:
                     here[i] += there[x]
-        self.memo[key] = out
+        self.memo[dims, bound] = out
         return out
 
 

@@ -15,6 +15,8 @@ loops.
 from collections import namedtuple
 from functools import lru_cache
 
+from .linalg import decode_vector, encode_vector
+
 MAX_Q = 16
 
 # The defining polynomial of GF(p^e), e > 1, coefficients ascending: the
@@ -45,10 +47,6 @@ def prime_power(q):
     if p**e != q:
         raise ValueError(f"not a prime power: {q}")
     return PrimePower(p, e, q)
-
-
-def _digits(i, p, e):
-    return tuple((i // p**k) % p for k in range(e))
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -86,10 +84,9 @@ class FieldTable:
         self.neg_table = tuple(
             next(b for b in range(q) if add_table[a][b] == 0)
             for a in range(q))
-        inv = [0] * q
-        for a in range(1, q):  # 0 where a has none: _verify_axioms fails
-            inv[a] = next((b for b in range(1, q) if mul_table[a][b] == 1), 0)
-        self.inv_table = tuple(inv)
+        self.inv_table = tuple(  # 0 where a has none: _verify_axioms fails
+            next((b for b in range(1, q) if mul_table[a][b] == 1), 0)
+            for a in range(q))
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -156,16 +153,15 @@ def make_field(q):
         modulus = None
     else:
         modulus = _MODULI[n]
-        elems = [_digits(i, p, e) for i in range(n)]
-        enc = {v: i for i, v in enumerate(elems)}
+        elems = [decode_vector(i, e, p) for i in range(n)]
         add = tuple(
-            tuple(enc[tuple((x + y) % p for x, y in zip(elems[a], elems[b]))]
-                  for b in range(n))
-            for a in range(n))
+            tuple(encode_vector([(x + y) % p for x, y in zip(u, v)], p)
+                  for v in elems)
+            for u in elems)
         mul = tuple(
-            tuple(enc[_poly_mul_mod(elems[a], elems[b], modulus, p)]
-                  for b in range(n))
-            for a in range(n))
+            tuple(encode_vector(_poly_mul_mod(u, v, modulus, p), p)
+                  for v in elems)
+            for u in elems)
     table = FieldTable(n, add, mul, modulus)
     _verify_axioms(table)  # a reducible modulus fails here
     return table

@@ -11,7 +11,6 @@ refutation.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import log2
 
 from .errors import BudgetExceeded
 from .polynomial import CountPolynomial
@@ -19,7 +18,7 @@ from .polynomial import CountPolynomial
 STRONG = "strong-polynomial"
 PERIODIC = "periodic-polynomial"
 INCONCLUSIVE = "inconclusive"
-MAX_SAMPLE_BITS = 2**16  # of the largest field size base_q^n
+MAX_SAMPLE_BITS = 2**16  # base_q^n, the largest field size, is 2^this at most
 
 
 class CountSamples(namedtuple("CountSamples", "base_q samples")):
@@ -39,7 +38,9 @@ class CountSamples(namedtuple("CountSamples", "base_q samples")):
             raise ValueError("sample exponents must be positive")
         if any(c < 0 for _, c in pairs):
             raise ValueError("counts must be nonnegative")
-        if ns and ns[-1] * log2(base_q) > MAX_SAMPLE_BITS:
+        # exact: q^n is computed once its lower bound 2^(n floor(log2 q)) fits
+        if ns and (ns[-1] * (base_q.bit_length() - 1) > MAX_SAMPLE_BITS
+                   or base_q**ns[-1] > 1 << MAX_SAMPLE_BITS):
             raise BudgetExceeded(f"{base_q}^{ns[-1]} exceeds the sample "
                                  f"budget of {MAX_SAMPLE_BITS} bits")
         return super().__new__(cls, base_q, pairs)
@@ -82,8 +83,7 @@ def interpolate_poly(points, degree_bound):
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
-    head = points[:degree_bound + 1]
-    poly = _newton(head)
+    poly = _newton(points[:degree_bound + 1])
     for x, y in points[degree_bound + 1:]:
         if poly(x) != y:
             return None

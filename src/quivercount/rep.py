@@ -47,6 +47,7 @@ Conventions fixed here and relied on everywhere else:
   path from bases.
 """
 
+import sys
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
@@ -299,22 +300,25 @@ class Filtration(namedtuple("Filtration", "steps")):
 
 
 def check_rep_budget(space, max_reps):
-    """Raise BudgetExceeded when the space has more than max_reps points;
-    the count is named as q^dimension, never in full.  The lower bound
+    """The point count of the space, once it is at most max_reps and
+    sys.maxsize, the largest index of a point table; else BudgetExceeded,
+    which names the count as q^dimension, never in full.  The lower bound
     2^(floor(log2 q) * dimension) is compared first, so q^dimension is
-    computed only when it has about as many bits as the budget."""
+    computed only when it has about as many bits as the limit."""
     q, n = space.field.q, space.dimension
-    if ((q.bit_length() - 1) * n >= max_reps.bit_length()
-            or space.point_count > max_reps):
-        raise BudgetExceeded(
-            f"{q}^{n} representations exceed the budget {max_reps}")
+    limit = min(max_reps, sys.maxsize)
+    if ((q.bit_length() - 1) * n >= limit.bit_length()
+            or space.point_count > limit):
+        name = (f"the budget {max_reps}" if limit == max_reps
+                else f"the index limit {limit} (sys.maxsize)")
+        raise BudgetExceeded(f"{q}^{n} representations exceed {name}")
+    return space.point_count
 
 
 def enumerate_reps(quiver, dims, field, max_reps=DEFAULT_MAX_REPS):
     """Yield every representation exactly once, in increasing index order."""
     space = RepSpace(quiver, dims, field)
-    check_rep_budget(space, max_reps)
-    yield from map(space.rep, range(space.point_count))
+    yield from map(space.rep, range(check_rep_budget(space, max_reps)))
 
 
 def enumerate_subspaces(n, k, field):
@@ -408,7 +412,6 @@ def catalog_dim(field, n, k):
     return _catalog(field, n)[0][k]
 
 
-@lru_cache(maxsize=256)
 def subspace_count(n, q):
     """Number of subspaces of GF(q)^n, counted without listing them: the
     sum of the Gaussian binomials, [n; k] = [n; k-1] (q^(n-k+1) - 1) /
@@ -638,9 +641,6 @@ def associated_graded(M, filtration):
     steps = filtration.steps
     if steps[0].ambient != M.space.dims:
         raise ValueError("filtration ambient does not match the representation")
-    for step in steps[1:-1]:
-        if not is_subrep(M, step):
-            raise ValueError("filtration step is not a subrepresentation")
     for lower, upper in zip(steps, steps[1:]):
         if not contains(upper, lower):
             raise ValueError("filtration steps are not nested")

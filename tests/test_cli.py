@@ -241,20 +241,62 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
 
 def test_hn_command(tmp_path, k2_file, capsys):
+    # the zero point: the line at vertex 0, then everything
     rep = tmp_path / "rep.txt"
     rep.write_text("0\n0\n", encoding="utf-8")
     assert main(["hn", k2_file, "--rep", str(rep), "--q", "2"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "type: 1,0;0,1"
-    assert out[1] == "slopes: 1 0"
+    assert capsys.readouterr().out.splitlines() == [
+        "type: 1,0;0,1", "slopes: 1 0",
+        "step 1 dims: 1,0", "  vertex 0: 1", "  vertex 1: -",
+        "step 2 dims: 1,1", "  vertex 0: 1", "  vertex 1: 1"]
+
+
+HN_JSON = [
+    ("0\n0\n", {"command": "hn", "type": [[1, 0], [0, 1]],
+                "slopes": ["1", "0"],
+                "steps": [{"dims": [1, 0], "bases": [[[1]], []]},
+                          {"dims": [1, 1], "bases": [[[1]], [[1]]]}]}),
+    ("1\n0\n", {"command": "hn", "type": [[1, 1]], "slopes": ["1/2"],
+                "steps": [{"dims": [1, 1], "bases": [[[1]], [[1]]]}]}),
+]
 
 
 def test_hn_json(tmp_path, k2_file, capsys):
+    # the zero point's two steps, and a semistable point's one
     rep = tmp_path / "rep.txt"
-    rep.write_text("1\n0\n", encoding="utf-8")
-    assert main(["hn", k2_file, "--rep", str(rep), "--q", "2", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["type"] == [[1, 1]]
+    for literal, expected in HN_JSON:
+        rep.write_text(literal, encoding="utf-8")
+        assert main(["hn", k2_file, "--rep", str(rep), "--q", "2",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
+
+A3_PROBLEM = "vertices 3\narrow 0 1\narrow 1 2\ndim 1 1 0\ntheta 1 0 0\n"
+
+
+def test_hn_literal_skips_a_zero_size_arrow(tmp_path, capsys):
+    # the arrow 1 -> 2 has a 0 x 1 matrix: it takes no line of the
+    # literal, and the empty vertex 2 prints as - in both steps
+    problem = tmp_path / "a3.problem"
+    problem.write_text(A3_PROBLEM, encoding="utf-8")
+    rep = tmp_path / "rep.txt"
+    rep.write_text("0\n", encoding="utf-8")
+    argv = ["hn", str(problem), "--rep", str(rep), "--q", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "type: 1,0,0;0,1,0", "slopes: 1 0",
+        "step 1 dims: 1,0,0", "  vertex 0: 1", "  vertex 1: -",
+        "  vertex 2: -",
+        "step 2 dims: 1,1,0", "  vertex 0: 1", "  vertex 1: 1",
+        "  vertex 2: -"]
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "hn", "type": [[1, 0, 0], [0, 1, 0]], "slopes": ["1", "0"],
+        "steps": [{"dims": [1, 0, 0], "bases": [[[1]], [], []]},
+                  {"dims": [1, 1, 0], "bases": [[[1]], [[1]], []]}]}
+    rep.write_text("0\n0\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert "expected 1 matrix lines, got 2" in capsys.readouterr().err
 
 
 def test_verify_command(k2_file, capsys):
@@ -545,6 +587,29 @@ def test_point_budget_is_checked_before_the_point_count(tmp_path, command,
     assert expected in done.stderr
 
 
+K2_PAST_THE_INDEX = ("vertices 2\narrow 0 1\narrow 0 1\ndim 5 7\ntheta 1 0\n"
+                     f"budget-reps {10**30}\nbudget-subspaces {10**30}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["stratify", "{problem}", "--q", "2"],
+    ["verify", "{problem}", "--qmax", "2", "--threads", "1"],
+    ["stratify", "{problem}", "--q", "2", "--engine", "direct"],
+    ["count-reps", "{problem}", "--brute", "2"],
+], ids=["stratify", "verify", "stratify-direct", "count-reps-brute"])
+def test_points_past_the_index_limit_exceed_the_budget(tmp_path, command):
+    # 2^70 points pass a budget of 10^30 but no table index reaches them:
+    # the scan would fail to allocate, the direct and brute routes would
+    # loop over every point
+    problem = tmp_path / "k2_57.problem"
+    problem.write_text(K2_PAST_THE_INDEX, encoding="utf-8")
+    argv = [a.format(problem=problem) for a in command]
+    done = _run_cli(argv, timeout=5, preexec_fn=_limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert (f"2^70 representations exceed the index limit {sys.maxsize}"
+            in done.stderr)
+
+
 K2_WITH_Q = "vertices 2\narrow 0 1\narrow 0 1\ndim 1 1\ntheta 1 0\nq {q}\n"
 
 
@@ -650,7 +715,7 @@ def test_type_ids_past_the_array_cap_exit_3(k2_22_file, monkeypatch,
                                             capsys):
     import quivercount.exhaustive as exhaustive
 
-    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", 1)
+    monkeypatch.setattr(exhaustive, "MAX_TYPES", 2)
     assert main(["stratify", k2_22_file, "--q", "2"]) == 3
     assert "more than 2 types in the space of" in capsys.readouterr().err
 
@@ -697,6 +762,18 @@ def test_purity_fit_huge_period_fails_at_once(tmp_path):
             "least 2") in done.stderr
 
 
+def test_purity_fit_negative_degree_fails_at_once(tmp_path):
+    # checked before the residue classes: no class is too small for
+    # degree -1, so their scan would run through all 10^11 residues
+    samples = tmp_path / "gm.samples"
+    samples.write_text("base_q 2\n1 1\n2 3\n", encoding="utf-8")
+    done = _run_cli(["purity-fit", "--samples", str(samples), "--period",
+                     "100000000000", "--degree", "-1"],
+                    timeout=5, preexec_fn=_limit_address_space)
+    assert done.returncode == 1, done.stderr
+    assert "degree bound must be nonnegative" in done.stderr
+
+
 @pytest.mark.parametrize("period", [1, 2])
 def test_purity_fit_huge_exponent_fails_at_once(tmp_path, period):
     # 2^10000000000 has 10^10 bits: the sample budget must fail before
@@ -710,6 +787,17 @@ def test_purity_fit_huge_exponent_fails_at_once(tmp_path, period):
     assert done.stdout == ""
     assert ("2^10000000000 exceeds the sample budget of 65536 bits"
             in done.stderr)
+
+
+def test_purity_fit_exponent_past_the_float_range_exits_3(tmp_path):
+    # 2^1100 is past the largest float: the budget compares integers
+    samples = tmp_path / "huge.samples"
+    samples.write_text(f"base_q 2\n{2**1100} 1\n", encoding="utf-8")
+    done = _run_cli(["purity-fit", "--samples", str(samples), "--period",
+                     "1", "--degree", "0"], timeout=5)
+    assert done.returncode == 3, done.stderr
+    assert f"2^{2**1100} exceeds the sample budget of 65536 bits" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_missing_file_is_an_error(capsys):

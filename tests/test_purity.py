@@ -53,6 +53,17 @@ def test_count_samples_validation():
     assert s.points() == [(2, 3), (8, 9)]
 
 
+@pytest.mark.parametrize("q,n", [(2, 65536), (3, 41348), (5, 28224)])
+def test_sample_budget_is_exact_at_its_edge(q, n):
+    # q^n <= 2^65536 < q^(n + 1): the last exponent passes, the next one
+    # raises, compared in integers
+    assert q**n <= 2**65536 < q**(n + 1)
+    CountSamples(q, ((n, 1),))
+    with pytest.raises(BudgetExceeded,
+                       match=f"{q}\\^{n + 1} exceeds the sample budget"):
+        CountSamples(q, ((n + 1, 1),))
+
+
 def test_count_samples_accept_a_zero_count():
     # 0 is a count: the point count of an empty moduli space
     assert CountSamples(2, ((1, 0), (2, 5))).samples == ((1, 0), (2, 5))

@@ -367,7 +367,7 @@ def test_pair_tables_past_the_byte_edge(f2, monkeypatch):
     import quivercount.exhaustive as exhaustive
 
     # with three ids to a byte, the 3-type quotient (1, 2) of K2 (2, 3)
-    # keeps byte ids, but its marker 3 needs an array("H") pair table
+    # keeps byte ids; every pair table, its marker 3 too, is an array("H")
     monkeypatch.setattr(exhaustive, "BYTE_IDS", 3)
     built = []
 
@@ -383,8 +383,7 @@ def test_pair_tables_past_the_byte_edge(f2, monkeypatch):
     quot = cls.tables[(1, 2)]
     assert len(quot.types) == 3 and type(quot.type_ids) is bytearray
     assert 3 in dict(built)  # a pair table with the marker 3
-    for bad, t in built:
-        assert type(t) is bytearray if bad < 3 else t.typecode == "H"
+    assert all(t.typecode == "H" for _, t in built)
     for M in enumerate_reps(quiver, dims, f2):
         _, beta = hn_filtration(M, THETA)
         assert table.types[table.type_ids[M.index]] == beta
@@ -413,9 +412,9 @@ def test_type_ids_past_the_array_cap_exceed_the_budget(f2, monkeypatch):
     cls = ScanClassifier(kronecker(2), THETA, f2)
     cls.table((2, 3))
     top = max(len(table.types) for table in cls.tables.values()) - 1
-    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", top)
+    monkeypatch.setattr(exhaustive, "MAX_TYPES", top + 1)
     ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
-    monkeypatch.setattr(exhaustive, "MAX_TYPE_ID", top - 1)
+    monkeypatch.setattr(exhaustive, "MAX_TYPES", top)
     with pytest.raises(BudgetExceeded, match=f"more than {top} types"):
         ScanClassifier(kronecker(2), THETA, f2).table((2, 3))
 
