@@ -16,7 +16,7 @@ from .purity import (CountSamples, PurityReport, interpolate_poly,
                      strong_purity_check, weak_purity_periodic_fit)
 from .quiver import (Quiver, gl_order, gl_order_poly, group_order_poly,
                      kronecker, nonzero_subvectors, pg_order, rep_space_dim,
-                     slope, theta_of, total_dim)
+                     slope, total_dim)
 from .rep import (Filtration, RepSpace, Representation, SubspaceTuple,
                   associated_graded, enumerate_reps, enumerate_subreps,
                   enumerate_subspaces, is_subrep, pullback, quotient_rep,

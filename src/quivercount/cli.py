@@ -36,7 +36,7 @@ from .counting import (coprime_witness, moduli_count_poly,
 from .errors import (BudgetExceeded, ProblemParseError, QuiverCountError,
                      TheoremViolation)
 from .exhaustive import classify_direct, classify_scan
-from .ffield import MAX_Q, field_table, prime_power
+from .ffield import FIELD_SIZES, MAX_Q, field_table, prime_power
 from .purity import CountSamples, strong_purity_check, weak_purity_periodic_fit
 from .quiver import Quiver, rep_space_dim
 from .rep import (DEFAULT_MAX_REPS, DEFAULT_MAX_TUPLES, RepSpace,
@@ -192,14 +192,9 @@ def parse_samples(text):
 
 
 def _prime_powers_upto(limit):
-    out = []
-    for q in range(2, limit + 1):
-        try:
-            out.append(prime_power(q).q)
-        except ValueError:
-            if q > MAX_Q:  # the field cap ends the listing at MAX_Q + 1
-                raise
-    return out
+    if limit > MAX_Q:
+        prime_power(MAX_Q + 1)  # the cap error, for the first size past it
+    return [q for q in FIELD_SIZES if q <= limit]
 
 
 def _poly_json(poly):

@@ -1,15 +1,15 @@
 """Exact arithmetic in small finite fields GF(q) via lookup tables.
 
-Elements are indexed 0..q-1.  For q = p prime the index is the residue
-itself.  For q = p^e with e > 1 the index encodes a polynomial over
-GF(p) in base p (digit k = coefficient of x^k), reduced modulo a fixed
-monic irreducible of degree e.  In both cases index 0 is the additive
-identity and index 1 the multiplicative identity.
+GF(q), q = p^e, is GF(p)[x] modulo a fixed monic irreducible of degree
+e.  Elements are indexed 0..q-1: the index encodes a polynomial over
+GF(p) in base p (digit k = coefficient of x^k), so for q = p prime,
+where the modulus is x, the index is the residue itself.  Index 0 is
+the additive identity and index 1 the multiplicative identity.
 
-The tables are tiny (q <= MAX_Q = 16, a fixed cap, so there are ten
-fields), immutable after construction and verified against the full set
-of field axioms, so downstream code can index them freely in inner
-loops.
+The tables are tiny (one field for each q in _MODULI, so ten fields up
+to MAX_Q = 16), immutable after construction and verified against the
+full set of field axioms, so downstream code can index them freely in
+inner loops.
 """
 
 from collections import namedtuple
@@ -17,13 +17,16 @@ from functools import lru_cache
 
 from .linalg import decode_vector, encode_vector
 
-MAX_Q = 16
-
-# The defining polynomial of GF(p^e), e > 1, coefficients ascending: the
+# The ten fields: q and the defining polynomial of GF(q), q = p^e, over
+# GF(p), coefficients ascending.  For e = 1 it is x; for e > 1 it is the
 # monic irreducible of degree e whose non-leading coefficients are least
 # in the base-p encoding.  The element encoding, and so every matrix
 # entry of a representation literal, depends on it.
-_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1)}
+_MODULI = {2: (0, 1), 3: (0, 1), 4: (1, 1, 1), 5: (0, 1), 7: (0, 1),
+           8: (1, 1, 0, 1), 9: (1, 0, 1), 11: (0, 1), 13: (0, 1),
+           16: (1, 1, 0, 0, 1)}
+FIELD_SIZES = tuple(_MODULI)  # ascending
+MAX_Q = FIELD_SIZES[-1]
 
 
 class PrimePower(namedtuple("PrimePower", "p e q")):
@@ -33,20 +36,16 @@ class PrimePower(namedtuple("PrimePower", "p e q")):
 
 
 def prime_power(q):
-    """Factor q as p^e, by trial division; ValueError if q is not a
-    prime power, or exceeds MAX_Q, which is checked before any
-    arithmetic."""
+    """Read q = p^e from the field table; ValueError if q exceeds
+    MAX_Q, which is checked first, or is not the size of a field."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"not a prime power: {q!r}")
     if q > MAX_Q:
         raise ValueError(f"q={q} exceeds the configured maximum {MAX_Q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 1
-    while p**e < q:
-        e += 1
-    if p**e != q:
+    if q not in _MODULI:
         raise ValueError(f"not a prime power: {q}")
-    return PrimePower(p, e, q)
+    e = len(_MODULI[q]) - 1
+    return PrimePower(next(p for p in _MODULI if p**e == q), e, q)
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -73,7 +72,7 @@ class FieldTable:
     ``add_table`` and ``mul_table`` are q x q tuples of tuples;
     ``neg_table`` and ``inv_table`` are q-tuples (``inv_table[0]`` is
     unused).  ``modulus`` is the coefficient tuple of the defining
-    irreducible for e > 1, else None.
+    polynomial, ``(0, 1)`` (that is, x) for a prime field.
     """
 
     def __init__(self, q, add_table, mul_table, modulus):
@@ -144,30 +143,25 @@ def _verify_axioms(t):
 
 
 def make_field(q):
-    """Build the lookup tables for GF(q), q = p^e <= MAX_Q, with the
-    defining polynomial _MODULI[q] for e > 1."""
+    """Build the lookup tables for GF(q), q = p^e <= MAX_Q, as GF(p)[x]
+    modulo the defining polynomial _MODULI[q]."""
     p, e, n = prime_power(q)
-    if e == 1:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        modulus = None
-    else:
-        modulus = _MODULI[n]
-        elems = [decode_vector(i, e, p) for i in range(n)]
-        add = tuple(
-            tuple(encode_vector([(x + y) % p for x, y in zip(u, v)], p)
-                  for v in elems)
-            for u in elems)
-        mul = tuple(
-            tuple(encode_vector(_poly_mul_mod(u, v, modulus, p), p)
-                  for v in elems)
-            for u in elems)
+    modulus = _MODULI[n]
+    elems = [decode_vector(i, e, p) for i in range(n)]
+    add = tuple(
+        tuple(encode_vector([(x + y) % p for x, y in zip(u, v)], p)
+              for v in elems)
+        for u in elems)
+    mul = tuple(
+        tuple(encode_vector(_poly_mul_mod(u, v, modulus, p), p)
+              for v in elems)
+        for u in elems)
     table = FieldTable(n, add, mul, modulus)
     _verify_axioms(table)  # a reducible modulus fails here
     return table
 
 
-@lru_cache(maxsize=MAX_Q)
+@lru_cache(maxsize=len(FIELD_SIZES))
 def field_table(q):
     """Cached variant of make_field; tables are immutable and shareable."""
     return make_field(q)

@@ -76,11 +76,6 @@ def nonzero_subvectors(dims):
             yield vec
 
 
-def theta_of(theta, dims):
-    """The value of the linear function theta on a dimension vector."""
-    return sum(t * d for t, d in zip(theta, dims))
-
-
 def _check_same_length(theta, dims):
     if len(theta) != len(dims):
         raise ValueError(f"character {tuple(theta)} and dimension vector "
@@ -93,7 +88,7 @@ def slope(theta, dims):
     dim = total_dim(dims)
     if dim <= 0:
         raise ValueError("slope of the zero dimension vector is undefined")
-    return Fraction(theta_of(theta, dims), dim)
+    return Fraction(sum(t * d for t, d in zip(theta, dims)), dim)
 
 
 @lru_cache(maxsize=1024)

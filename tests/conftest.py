@@ -3,6 +3,14 @@ import pytest
 from quivercount import (Quiver, SubspaceTuple, enumerate_subreps,
                          field_table, is_semistable, kronecker, pullback,
                          quotient_rep, slope, sub_rep)
+from quivercount.cli import main
+
+
+def cli_stdout(capsys, argv):
+    """Run ``cli.main`` in this process: its exit code and the bytes it
+    wrote to stdout."""
+    code = main(argv)
+    return code, capsys.readouterr().out.encode("utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quivercount.cli import main
+from conftest import cli_stdout
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 K2_23 = str(BENCH / "problems" / "k2_23.problem")
@@ -20,6 +20,5 @@ K3_56 = str(BENCH / "problems" / "k3_56.problem")
     ("moduli-poly", ["moduli-poly", K3_56]),
 ], ids=["stratify-scan", "verify-direct", "moduli-poly"])
 def test_stdout_matches_bench_expected(capsys, name, argv):
-    assert main(argv) == 0
-    stdout = capsys.readouterr().out.encode("utf-8")
-    assert stdout == (BENCH / "expected" / f"{name}.out").read_bytes()
+    assert cli_stdout(capsys, argv) == (
+        0, (BENCH / "expected" / f"{name}.out").read_bytes())

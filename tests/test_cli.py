@@ -320,7 +320,7 @@ def test_verify_without_fields_errors(k2_file, capsys):
     assert main(["verify", k2_file]) == 2
     assert "qmax" in capsys.readouterr().err
     # no prime power up to the bound: nothing to check is an error too
-    for qmax in ("0", "1"):
+    for qmax in ("-2", "-1", "0", "1"):
         assert main(["verify", k2_file, "--qmax", qmax]) == 2
         captured = capsys.readouterr()
         assert "no fields to verify" in captured.err
@@ -356,6 +356,13 @@ def test_verify_json(k2_file, capsys):
     assert data["result"] == "ok"
     assert data["qs"] == [2]
     assert any(c["check"] == "partition" for c in data["checks"])
+    # --qmax lists every field size up to it
+    sizes = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    for qmax in range(3, 17):
+        assert main(["verify", k2_file, "--qmax", str(qmax), "--threads", "1",
+                     "--json"]) == 0
+        qs = json.loads(capsys.readouterr().out)["qs"]
+        assert qs == [q for q in sizes if q <= qmax], qmax
 
 
 def test_three_vertex_problem_roundtrip(tmp_path, capsys):
@@ -444,13 +451,18 @@ def test_verify_runs_the_semistable_recursion_once(k2_file, monkeypatch,
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
 
 
-def test_verify_qmax_above_the_field_cap_fails_at_once(k2_file):
+def test_verify_qmax_above_the_field_cap_fails_at_once(k2_file, capsys):
     # the first prime power over the cap ends the run before the others
     # up to QMAX are listed
     done = _run_cli(["verify", k2_file, "--qmax", "1000000000"], timeout=10)
     assert done.returncode == 1
     assert done.stdout == ""
     assert "q=17 exceeds the configured maximum 16" in done.stderr
+    for qmax in ("17", "18", "19"):
+        assert main(["verify", k2_file, "--qmax", qmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q=17 exceeds the configured maximum 16\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from quivercount import ffield, make_field, prime_power
 from quivercount.ffield import MAX_Q, PrimePower
 
-SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 16]
+SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 @pytest.mark.parametrize("q", SUPPORTED)
@@ -68,6 +71,26 @@ def test_gf4_modulus_is_least():
     assert make_field(8).modulus == (1, 1, 0, 1)  # x^3 + x + 1
     assert make_field(9).modulus == (1, 0, 1)  # x^2 + 1
     assert make_field(16).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+    for p in PRIMES:  # GF(p) is GF(p)[x] modulo x
+        assert make_field(p).modulus == (0, 1)
+
+
+def test_field_tables_are_pinned():
+    # the ten fields' tables, in increasing q, as the element encoding
+    # has fixed them: a change of any modulus or table changes the hash
+    text = "".join(repr((q, t.add_table, t.mul_table, t.neg_table,
+                         t.inv_table))
+                   for q in SUPPORTED for t in [make_field(q)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3d11bbaee5069215f7e6ee431c7ec22847d348dcb1e9fe05ce6e25140987336d")
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_fields_are_residues(p):
+    t = make_field(p)
+    rng = range(p)
+    assert t.add_table == tuple(tuple((a + b) % p for b in rng) for a in rng)
+    assert t.mul_table == tuple(tuple((a * b) % p for b in rng) for a in rng)
 
 
 def test_a_reducible_modulus_fails_the_axioms(monkeypatch):
@@ -91,18 +114,30 @@ def _trial_division(q):
     return PrimePower(p, e, q) if rest == 1 else None
 
 
+def _prime_power_or_error(q):
+    try:
+        return prime_power(q)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_prime_power_factoring():
     assert prime_power(8) == PrimePower(2, 3, 8)
     assert prime_power(9) == PrimePower(3, 2, 9)
     for bad in (0, 1, 6, 10, 12, 15):
         with pytest.raises(ValueError, match="not a prime power"):
             prime_power(bad)
-    for q in range(2, MAX_Q + 1):
-        try:
-            found = prime_power(q)
-        except ValueError:
-            found = None
-        assert found == _trial_division(q), q
+    # every value and error text, below, in and just past the cap
+    for q in range(-3, 41):
+        if q > MAX_Q:
+            expected = f"q={q} exceeds the configured maximum 16"
+        elif q >= 2 and _trial_division(q):
+            expected = _trial_division(q)
+        else:
+            expected = f"not a prime power: {q}"
+        assert _prime_power_or_error(q) == expected, q
+    for odd in (4.0, "4", True, None):
+        assert _prime_power_or_error(odd) == f"not a prime power: {odd!r}"
     for q in range(MAX_Q + 1, 5000):
         with pytest.raises(ValueError, match=f"q={q} exceeds the configured "
                                              f"maximum {MAX_Q}"):
